@@ -257,11 +257,7 @@ fn main() {
         let _ = writeln!(
             b,
             "     \"uniform\": [{}],",
-            uniform
-                .iter()
-                .map(rung_json)
-                .collect::<Vec<_>>()
-                .join(", ")
+            uniform.iter().map(rung_json).collect::<Vec<_>>().join(", ")
         );
         let _ = writeln!(
             b,

@@ -35,13 +35,10 @@
 use std::collections::HashMap;
 
 use ipas_analysis::features::FeatureExtractor;
-use ipas_faultsim::rounds::{
-    draw_uniform_site_plans, draw_weighted_site_plans, execute_round, UniformFallback,
-};
+use ipas_faultsim::rounds::{draw_uniform_site_plans, draw_weighted_site_plans, UniformFallback};
 use ipas_faultsim::{
-    profile_sites, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
-    CompiledProgram, Engine, FaultModel, Injection, InjectionRecord, JournalHeader, PlanOutcome,
-    ResumeState, SamplingMode, SiteCount, Workload,
+    profile_sites, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, CampaignRun,
+    FaultModel, Injection, InjectionRecord, PlanOutcome, SamplingMode, SiteCount, Slice, Workload,
 };
 use ipas_svm::{Dataset, GridOptions};
 use rand::rngs::StdRng;
@@ -372,21 +369,21 @@ impl AdaptiveDriver {
 }
 
 /// Runs a full adaptive campaign: seed round, retrain, margin-weighted
-/// rounds, entropy stop — with the resilient runtime (panic isolation,
-/// retries, watchdog) and round-tagged journaling of
-/// [`ipas_faultsim::rounds::execute_round`].
+/// rounds, entropy stop — each round one round-tagged [`Slice`] of a
+/// [`CampaignRun`], with its resilient runtime (panic isolation,
+/// retries, watchdog) and one ordered journal append per round.
 ///
 /// With [`CampaignOptions::journal`] set, the journal header carries
-/// the round size ([`JournalHeader::round_runs`]) and every record its
-/// round id; a re-invocation resumes by deterministic replay — each
-/// round is re-drawn from the identical RNG stream, resumed plans are
-/// filled from the journal, and only missing plans execute, so a kill
-/// mid-round never re-draws a partial round differently.
+/// the round size ([`ipas_faultsim::JournalHeader::round_runs`]) and
+/// every record its round id; a re-invocation resumes by deterministic
+/// replay — each round is re-drawn from the identical RNG stream,
+/// resumed plans are filled from the journal, and only missing plans
+/// execute, so a kill mid-round never re-draws a partial round
+/// differently.
 ///
 /// # Errors
 ///
-/// The union of [`AdaptiveDriver::new`] and
-/// [`ipas_faultsim::rounds::execute_round`] errors.
+/// The union of [`AdaptiveDriver::new`] and [`CampaignRun`] errors.
 pub fn run_campaign_adaptive(
     workload: &Workload,
     config: &CampaignConfig,
@@ -394,50 +391,26 @@ pub fn run_campaign_adaptive(
     params: &AdaptiveParams,
 ) -> Result<AdaptiveResult, CampaignError> {
     let mut driver = AdaptiveDriver::new(workload, config, params.clone())?;
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: SamplingMode::StaticUniform,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: Some(params.round_runs),
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
+    // Every round is a site-restricted draw, and the header says so.
+    let options = CampaignOptions {
+        sampling: SamplingMode::StaticUniform,
+        ..options.clone()
     };
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
-    let mut outcomes: Vec<(usize, PlanOutcome)> = Vec::new();
+    let run = CampaignRun::open(workload, config, &options, Some(params.round_runs))?;
     let mut labeled: Vec<(usize, InjectionRecord)> = Vec::new();
     let mut rounds = Vec::new();
     let mut base = 0usize;
-    let mut resumed_total = 0usize;
     while let Some((round, sampling, plans)) = driver.next_round(&labeled) {
-        let exec = execute_round(
-            workload,
-            config,
-            options,
-            compiled.as_ref(),
-            journal.as_ref(),
-            &resume,
-            base,
-            round,
-            &plans,
-        )?;
+        let slice = Slice {
+            tag: Some(round),
+            plans: (base..).zip(plans.iter().copied()).collect(),
+        };
+        let executed = run.execute(std::slice::from_ref(&slice))?;
         let mut positives = 0usize;
         let mut classified = 0usize;
-        for (i, outcome) in &exec.outcomes {
-            if let PlanOutcome::Record(record) = outcome {
-                labeled.push((*i, *record));
+        for i in base..base + plans.len() {
+            if let Some(PlanOutcome::Record(record)) = run.outcome(i) {
+                labeled.push((i, *record));
                 classified += 1;
                 if params.label.label(record.outcome) {
                     positives += 1;
@@ -454,29 +427,13 @@ pub fn run_campaign_adaptive(
             drawn: plans.len(),
             sampling,
             entropy,
-            resumed: exec.resumed,
-            executed: exec.executed,
+            resumed: plans.len() - executed,
+            executed,
         });
-        resumed_total += exec.resumed;
         base += plans.len();
-        outcomes.extend(exec.outcomes);
     }
-    let mut records = Vec::with_capacity(outcomes.len());
-    let mut harness_failures = Vec::new();
-    for (_, outcome) in outcomes {
-        match outcome {
-            PlanOutcome::Record(record) => records.push(record),
-            PlanOutcome::Failure(failure) => harness_failures.push(failure),
-        }
-    }
-    harness_failures.sort_by_key(|f| f.plan_index);
     Ok(AdaptiveResult {
-        result: CampaignResult {
-            records,
-            harness_failures,
-            resumed: resumed_total,
-            nominal_insts: workload.nominal_insts,
-        },
+        result: run.finish(base)?,
         rounds,
         stopped_early: driver.stopped_early(),
     })

@@ -32,10 +32,10 @@ use std::collections::HashMap;
 use std::str::FromStr;
 
 use ipas_analysis::sections::SectionPartition;
-use ipas_faultsim::sections::{assign_sections, execute_sections, splice_outcomes};
+use ipas_faultsim::sections::{assign_sections, section_slices, splice_outcomes};
 use ipas_faultsim::{
-    draw_plans, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, FaultModel,
-    HarnessFailure, Injection, InjectionRecord, Outcome, PlanOutcome, Workload,
+    draw_plans, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, CampaignRun,
+    FaultModel, HarnessFailure, Injection, InjectionRecord, Outcome, PlanOutcome, Workload,
 };
 use ipas_ir::{FuncId, InstId};
 use ipas_store::{
@@ -183,15 +183,20 @@ pub fn run_campaign_incremental(
     }
 
     let mask: Vec<bool> = cached.iter().map(Option::is_none).collect();
-    let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
-    let executed = exec.executed;
-    let resumed = exec.resumed;
+    let slices = section_slices(&plans, &assignment, &mask);
+    let run = CampaignRun::open(workload, config, options, None)?;
+    let executed = run.execute(&slices)?;
+    let resumed = slices.len() - executed;
+    let outcomes: Vec<(usize, PlanOutcome)> = (slices.iter())
+        .flat_map(|s| &s.plans)
+        .filter_map(|&(i, _)| run.outcome(i).map(|o| (i, o.clone())))
+        .collect();
 
     // Persist fresh sections' profiles (cached ones are already stored
     // under the identical key — fingerprint, digest, and identity all
     // matched, so the bytes are the same artifact).
     let mut fresh: Vec<Vec<(usize, PlanOutcome)>> = (0..total).map(|_| Vec::new()).collect();
-    for (i, outcome) in &exec.outcomes {
+    for (i, outcome) in &outcomes {
         fresh[assignment[*i] as usize].push((*i, outcome.clone()));
     }
     for s in 0..total {
@@ -236,8 +241,7 @@ pub fn run_campaign_incremental(
     store.put(&index_key, &index)?;
 
     let sections_reused = cached.iter().filter(|c| c.is_some()).count();
-    let spliced = exec
-        .outcomes
+    let spliced = outcomes
         .into_iter()
         .chain(cached.into_iter().flatten().flatten());
     let result = splice_outcomes(plans.len(), spliced, resumed, workload.nominal_insts)?;

@@ -5,13 +5,17 @@
 //! that pins the campaign's identity (workload, seed, run count,
 //! sampling mode, and the workload fingerprint); every subsequent line
 //! is one completed plan index — either an [`InjectionRecord`] or a
-//! [`HarnessFailure`]. Lines are appended and flushed one at a time, so
-//! a killed campaign loses at most the entry being written; a torn
-//! final line is detected and ignored on resume.
+//! [`HarnessFailure`]. Each completed slice of plans is written with one
+//! `write_all` call straight to the file (no user-space buffering), so a
+//! killed process — `SIGKILL` included — loses at most the slice being
+//! written, and a torn final line is detected and ignored on resume.
+//! Nothing calls `fsync`: a journal survives a process crash, not power
+//! loss or an operating-system crash.
 //!
-//! The format is deliberately flat (string and integer fields only) so
-//! it can be written and parsed without a serialization dependency, and
-//! inspected with standard line tools.
+//! Lines use the flat JSON codec of [`ipas_ir::flatjson`] (string and
+//! integer fields only), so they are written and parsed without a
+//! serialization dependency and can be inspected with standard line
+//! tools.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,6 +24,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use ipas_ir::flatjson::{Fields, LineBuilder};
 use ipas_ir::{FuncId, InstId};
 
 use crate::{FaultModel, HarnessFailure, InjectionRecord, Outcome, PlanOutcome, SamplingMode};
@@ -212,63 +217,20 @@ impl CampaignJournal {
         ))
     }
 
-    /// Appends one classified record and flushes it to disk.
+    /// Appends a slice of completed plans, in the given order, as one
+    /// write. Each record is tagged with `section` when set (a section
+    /// id for sectional campaigns, a round id for adaptive ones);
+    /// harness failures are never tagged.
+    ///
+    /// The buffer is written sequentially, so a crash mid-append can
+    /// only tear the *final* line on disk — exactly the torn-tail shape
+    /// resume already tolerates; every complete line before the tear is
+    /// recovered. An empty slice writes nothing.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when the append fails; the campaign should
     /// stop rather than continue without its checkpoint.
-    pub fn append_record(&self, plan: usize, record: &InjectionRecord) -> Result<(), JournalError> {
-        self.append_line(&encode_record(plan, record, None))
-    }
-
-    /// Appends one classified record tagged with the section it was
-    /// executed under (section-granular campaigns) and flushes it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_record_in_section(
-        &self,
-        plan: usize,
-        record: &InjectionRecord,
-        section: u32,
-    ) -> Result<(), JournalError> {
-        self.append_line(&encode_record(plan, record, Some(section)))
-    }
-
-    /// Appends one harness failure and flushes it to disk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_failure(&self, failure: &HarnessFailure) -> Result<(), JournalError> {
-        self.append_line(&encode_failure(failure))
-    }
-
-    /// Appends a whole chunk of completed plans in one write + flush.
-    ///
-    /// This is the chunked-execution writer: a worker that finished a
-    /// stolen chunk checkpoints all of its outcomes with a single
-    /// syscall instead of one write per plan. The buffer is written
-    /// sequentially, so a crash mid-append can only tear the *final*
-    /// line on disk — exactly the torn-tail shape resume already
-    /// tolerates; every complete line before the tear is recovered.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_outcomes(&self, outcomes: &[(usize, PlanOutcome)]) -> Result<(), JournalError> {
-        self.append_outcomes_in_section(outcomes, None)
-    }
-
-    /// Like [`CampaignJournal::append_outcomes`], tagging each record of
-    /// the chunk with a section id when `section` is set. Section-aligned
-    /// chunks have one section, so the tag applies to the whole chunk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
     pub fn append_outcomes_in_section(
         &self,
         outcomes: &[(usize, PlanOutcome)],
@@ -298,72 +260,6 @@ impl CampaignJournal {
     }
 }
 
-fn sampling_label(mode: SamplingMode) -> &'static str {
-    mode.wire()
-}
-
-fn outcome_label(outcome: Outcome) -> &'static str {
-    // Stable wire names, independent of the display labels.
-    outcome.wire()
-}
-
-fn parse_outcome(label: &str) -> Option<Outcome> {
-    Outcome::from_wire(label)
-}
-
-// ---------------------------------------------------------------------
-// Flat JSON encoding (strings and unsigned integers only).
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-struct LineBuilder {
-    buf: String,
-}
-
-impl LineBuilder {
-    fn new(kind: &str) -> Self {
-        let mut buf = String::with_capacity(128);
-        buf.push_str("{\"kind\":\"");
-        buf.push_str(kind);
-        buf.push('"');
-        LineBuilder { buf }
-    }
-
-    fn num(mut self, key: &str, value: u64) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    fn str(mut self, key: &str, value: &str) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":\"");
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push_str("}\n");
-        self.buf
-    }
-}
-
 fn encode_header(h: &JournalHeader) -> String {
     let mut b = LineBuilder::new("header")
         .num("version", FORMAT_VERSION)
@@ -371,7 +267,7 @@ fn encode_header(h: &JournalHeader) -> String {
         .str("entry", &h.entry)
         .num("seed", h.seed)
         .num("runs", h.runs as u64)
-        .str("sampling", sampling_label(h.sampling))
+        .str("sampling", h.sampling.wire())
         .str("model", &h.fault_model.to_string())
         .num("eligible", h.eligible_results)
         .num("nominal", h.nominal_insts);
@@ -392,7 +288,7 @@ fn encode_record(plan: usize, r: &InjectionRecord, section: Option<u32>) -> Stri
         .num("inst", r.site.1.index() as u64)
         .num("target", r.target)
         .num("bit", r.bit as u64)
-        .str("outcome", outcome_label(r.outcome))
+        .str("outcome", r.outcome.wire())
         .num("insts", r.dynamic_insts)
         .num("latency", r.latency)
         .num("attempts", r.attempts as u64);
@@ -402,18 +298,14 @@ fn encode_record(plan: usize, r: &InjectionRecord, section: Option<u32>) -> Stri
     b.finish()
 }
 
-/// Encodes one completed plan as its journal line (newline-terminated).
+/// Encodes one completed plan as its journal line (newline-terminated),
+/// tagging a record with its section id when `section` is set (harness
+/// failures are never section-tagged: their plan index already
+/// identifies them).
 ///
 /// This is the journal wire format: the serving layer streams these
 /// exact lines to watching clients, so a journal on disk and a watched
 /// event stream are byte-interchangeable.
-pub fn outcome_line(plan: usize, outcome: &PlanOutcome) -> String {
-    outcome_line_in_section(plan, outcome, None)
-}
-
-/// Like [`outcome_line`], tagging a record with its section id when
-/// `section` is set (harness failures are never section-tagged: their
-/// plan index already identifies them).
 pub fn outcome_line_in_section(plan: usize, outcome: &PlanOutcome, section: Option<u32>) -> String {
     match outcome {
         PlanOutcome::Record(record) => encode_record(plan, record, section),
@@ -431,112 +323,6 @@ fn encode_failure(f: &HarnessFailure) -> String {
         .finish()
 }
 
-// ---------------------------------------------------------------------
-// Flat JSON parsing.
-
-#[derive(Debug, PartialEq)]
-enum JsonVal {
-    Num(u64),
-    Str(String),
-}
-
-/// Parses one flat JSON object (`{"k":123,"k2":"v"}`) into key/value
-/// pairs. Returns `None` on any syntax error.
-fn parse_flat(line: &str) -> Option<Vec<(String, JsonVal)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        if *chars.peek()? != '"' {
-            return None;
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next()? != ':' {
-            return None;
-        }
-        let value = match chars.peek()? {
-            '"' => JsonVal::Str(parse_string(&mut chars)?),
-            c if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                JsonVal::Num(digits.parse().ok()?)
-            }
-            _ => return None,
-        };
-        fields.push((key, value));
-    }
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-struct Fields(Vec<(String, JsonVal)>);
-
-impl Fields {
-    fn num(&self, key: &str) -> Option<u64> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                JsonVal::Num(n) => Some(*n),
-                JsonVal::Str(_) => None,
-            })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                JsonVal::Str(s) => Some(s.as_str()),
-                JsonVal::Num(_) => None,
-            })
-    }
-}
-
 fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, JournalError> {
     let lines: Vec<&str> = text.lines().collect();
     let mut resume = ResumeState::default();
@@ -550,13 +336,13 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
             line: line_no,
             reason,
         };
-        let Some(fields) = parse_flat(line).map(Fields) else {
+        let Some(fields) = Fields::parse(line) else {
             if is_last {
                 break; // torn tail from a crash mid-append
             }
             return Err(corrupt("not a flat JSON object".into()));
         };
-        let kind = fields.str("kind").unwrap_or("");
+        let kind = fields.kind();
         if i == 0 {
             if kind != "header" {
                 return Err(corrupt(format!(
@@ -602,7 +388,7 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                 }
                 let outcome = fields
                     .str("outcome")
-                    .and_then(parse_outcome)
+                    .and_then(Outcome::from_wire)
                     .ok_or_else(|| corrupt("unknown outcome".into()))?;
                 let record = InjectionRecord {
                     model,
@@ -705,7 +491,7 @@ fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalEr
         (
             "sampling mode",
             fields.str("sampling").unwrap_or("").to_string(),
-            sampling_label(expect.sampling).to_string(),
+            expect.sampling.wire().to_string(),
         ),
         (
             "fault model",
@@ -776,6 +562,13 @@ mod tests {
         }
     }
 
+    /// Appends one plan as its own one-plan slice.
+    fn append_one(journal: &CampaignJournal, plan: usize, outcome: PlanOutcome, sec: Option<u32>) {
+        journal
+            .append_outcomes_in_section(&[(plan, outcome)], sec)
+            .expect("append");
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ipas-journal-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -794,16 +587,15 @@ mod tests {
         {
             let (journal, resume) = CampaignJournal::open(&path, &header()).expect("fresh");
             assert!(resume.is_empty());
-            journal.append_record(3, &record(3)).expect("append");
-            journal
-                .append_failure(&HarnessFailure {
-                    plan_index: 5,
-                    target: 9,
-                    bit: 63,
-                    attempts: 3,
-                    error: "panicked: \"quoted\"\nline two".into(),
-                })
-                .expect("append");
+            append_one(&journal, 3, PlanOutcome::Record(record(3)), None);
+            let failure = HarnessFailure {
+                plan_index: 5,
+                target: 9,
+                bit: 63,
+                attempts: 3,
+                error: "panicked: \"quoted\"\nline two".into(),
+            };
+            append_one(&journal, 5, PlanOutcome::Failure(failure), None);
         }
         let (_journal, resume) = CampaignJournal::open(&path, &header()).expect("reopen");
         assert_eq!(resume.len(), 2);
@@ -860,7 +652,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            journal.append_record(0, &record(0)).expect("append");
+            append_one(&journal, 0, PlanOutcome::Record(record(0)), None);
         }
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str(&encode_record(
@@ -954,9 +746,7 @@ mod tests {
         assert!(resume.sections.is_empty(), "v2 records carry no sections");
         // Continuing the campaign appends v3 records into the same file,
         // and the mixed-version journal still resumes.
-        journal
-            .append_record_in_section(5, &record(5), 1)
-            .expect("append");
+        append_one(&journal, 5, PlanOutcome::Record(record(5)), Some(1));
         drop(journal);
         let (_j, resume) = CampaignJournal::open(&path, &header()).expect("mixed resumes");
         assert_eq!(resume.len(), 3);
@@ -970,9 +760,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            journal
-                .append_record_in_section(0, &record(0), 2)
-                .expect("append");
+            append_one(&journal, 0, PlanOutcome::Record(record(0)), Some(2));
             let chunk: Vec<(usize, PlanOutcome)> = vec![
                 (1, PlanOutcome::Record(record(1))),
                 (
@@ -1102,7 +890,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            journal.append_record(0, &record(0)).expect("append");
+            append_one(&journal, 0, PlanOutcome::Record(record(0)), None);
         }
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("{\"kind\":\"record\",\"plan\":1,\"fu"); // torn append
@@ -1152,9 +940,11 @@ mod tests {
                 ),
                 (3, PlanOutcome::Record(record(3))),
             ];
-            journal.append_outcomes(&chunk).expect("chunk append");
             journal
-                .append_outcomes(&[])
+                .append_outcomes_in_section(&chunk, None)
+                .expect("chunk append");
+            journal
+                .append_outcomes_in_section(&[], None)
                 .expect("empty chunk is a no-op");
         }
         let full = std::fs::read_to_string(&path).expect("read");
@@ -1185,13 +975,13 @@ mod tests {
     }
 
     #[test]
-    fn outcome_line_matches_single_append_encoding() {
-        // The public wire encoder and the journal's own appends must
-        // stay byte-identical: the serving layer streams outcome_line
-        // output while the journal file is written through
-        // append_record/append_outcomes.
-        let rec_line = outcome_line(4, &PlanOutcome::Record(record(4)));
-        assert_eq!(rec_line, encode_record(4, &record(4), None));
+    fn event_lines_match_journal_bytes() {
+        // The serving layer streams outcome_line_in_section output to
+        // watchers while the journal file is written through
+        // append_outcomes_in_section: the two must stay byte-identical,
+        // tagged and untagged, records and failures alike.
+        let path = temp_path("event-lines");
+        let _ = std::fs::remove_file(&path);
         let failure = HarnessFailure {
             plan_index: 9,
             target: 1,
@@ -1199,18 +989,26 @@ mod tests {
             attempts: 3,
             error: "e".into(),
         };
-        let fail_line = outcome_line(9, &PlanOutcome::Failure(failure.clone()));
-        assert_eq!(fail_line, encode_failure(&failure));
-        assert!(rec_line.ends_with('\n') && fail_line.ends_with('\n'));
-    }
-
-    #[test]
-    fn flat_json_parser_handles_escapes() {
-        let fields = parse_flat(r#"{"kind":"x","n":42,"s":"a\"b\\c\ndA"}"#).map(Fields);
-        let fields = fields.expect("parses");
-        assert_eq!(fields.num("n"), Some(42));
-        assert_eq!(fields.str("s"), Some("a\"b\\c\ndA"));
-        assert!(parse_flat("{\"unterminated\":\"").is_none());
-        assert!(parse_flat("{\"a\":1} trailing").is_none());
+        let chunk = vec![
+            (4, PlanOutcome::Record(record(4))),
+            (9, PlanOutcome::Failure(failure)),
+        ];
+        let mut expected = encode_header(&header());
+        {
+            let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            for sec in [None, Some(3)] {
+                journal
+                    .append_outcomes_in_section(&chunk, sec)
+                    .expect("append");
+                for (plan, outcome) in &chunk {
+                    let line = outcome_line_in_section(*plan, outcome, sec);
+                    assert!(line.ends_with('\n'));
+                    expected.push_str(&line);
+                }
+            }
+        }
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), expected);
+        assert!(expected.contains("\"sec\":3"), "tagged record present");
+        std::fs::remove_file(&path).expect("cleanup");
     }
 }

@@ -11,7 +11,8 @@
 //!   acceptable (the user-provided verification routine of step 1);
 //! * [`run_campaign`] — N injection runs at uniformly random dynamic
 //!   instruction instances and bits, in parallel across threads, each
-//!   classified into an [`Outcome`];
+//!   classified into an [`Outcome`]; every campaign shape executes
+//!   through one [`CampaignRun`];
 //! * [`CampaignResult`] — per-outcome counts, fractions, the margin of
 //!   error of §6.2, and the per-injection records used to build SVM
 //!   training sets.
@@ -28,10 +29,11 @@
 //!   with deterministic, jittered exponential backoff, then degrade to a
 //!   [`HarnessFailure`] — reported separately and excluded from the §5.5
 //!   outcome fractions;
-//! * with [`CampaignOptions::journal`] set, each record is atomically
-//!   appended to a JSONL [`CampaignJournal`]; re-running a killed
-//!   campaign resumes from the journal, skipping completed plan indices
-//!   while preserving seed-determinism across thread counts;
+//! * with [`CampaignOptions::journal`] set, each record is appended to a
+//!   JSONL [`CampaignJournal`] by the [`CampaignRun`] executor's slice
+//!   commits; re-running a killed campaign resumes from the journal,
+//!   skipping completed plan indices while preserving seed-determinism
+//!   across thread counts;
 //! * [`CampaignOptions::run_deadline`] arms a wall-clock watchdog in the
 //!   interpreter, classifying runaway runs as hangs even when the
 //!   instruction budget cannot catch them.
@@ -66,13 +68,12 @@
 
 mod journal;
 pub mod rounds;
+mod run;
 pub mod sections;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use ipas_interp::{Machine, OutputStream, RtVal, RunConfig, RunError, RunOutput, RunStatus};
@@ -81,9 +82,9 @@ use rand::{Rng, SeedableRng};
 
 pub use ipas_interp::{CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, SiteClass};
 pub use journal::{
-    outcome_line, outcome_line_in_section, CampaignJournal, JournalError, JournalHeader,
-    ResumeState,
+    outcome_line_in_section, CampaignJournal, JournalError, JournalHeader, ResumeState,
 };
+pub use run::{CampaignRun, Slice};
 
 /// The four §5.5 outcome categories of one fault-injection run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -493,8 +494,9 @@ pub struct CampaignOptions {
     /// Retry schedule for harness failures.
     pub retry: RetryPolicy,
     /// Checkpoint journal path. When set, every classified record is
-    /// appended (and flushed) to this JSONL file, and a re-invocation
-    /// resumes from it, re-executing only missing plan indices.
+    /// appended to this JSONL file, and a re-invocation resumes from
+    /// it, re-executing only missing plan indices. The journal survives
+    /// a process crash, not power loss (nothing calls `fsync`).
     pub journal: Option<PathBuf>,
     /// Wall-clock watchdog per run, classified as a hang
     /// ([`Outcome::Symptom`]) like the instruction budget.
@@ -829,15 +831,15 @@ pub fn draw_plans(
 
 /// Executes individual pre-drawn plans against one workload, with the
 /// full resilient-runtime behavior (panic isolation, deterministic
-/// jittered retries, wall-clock watchdog) of [`run_campaign_with`].
+/// jittered retries, wall-clock watchdog).
 ///
 /// One executor is one worker's execution context: it owns a private
-/// machine (resettable when compiled), so a pool splits a plan list
-/// into chunks and gives each worker its own executor. Executing the
-/// same `(plan_index, plan)` on any executor built from the same
-/// campaign inputs yields the identical [`PlanOutcome`] — chunking is
-/// invisible in the results.
-pub struct PlanExecutor<'w> {
+/// machine (resettable when compiled). [`CampaignRun`] gives each of its
+/// workers one. Executing the same `(plan_index, plan)` on any executor
+/// built from the same campaign inputs yields the identical
+/// [`PlanOutcome`] — slicing and scheduling are invisible in the
+/// results.
+struct PlanExecutor<'w> {
     workload: &'w Workload,
     runner: Runner<'w>,
     seed: u64,
@@ -850,7 +852,7 @@ impl<'w> PlanExecutor<'w> {
     /// Builds an executor for one worker. Pass the campaign's shared
     /// [`CompiledProgram`] lowering to run on the compiled engine, or
     /// `None` for the reference tree-walker.
-    pub fn new(
+    fn new(
         workload: &'w Workload,
         seed: u64,
         options: &CampaignOptions,
@@ -872,7 +874,7 @@ impl<'w> PlanExecutor<'w> {
     /// Executes one plan under panic isolation and the retry policy.
     /// Never fails: an unclassifiable plan degrades to
     /// [`PlanOutcome::Failure`].
-    pub fn execute(&mut self, plan_index: usize, plan: Injection) -> PlanOutcome {
+    fn execute(&mut self, plan_index: usize, plan: Injection) -> PlanOutcome {
         let max_attempts = self.retry.max_attempts.max(1);
         let mut last_error = String::new();
         for attempt in 1..=max_attempts {
@@ -933,7 +935,8 @@ impl Runner<'_> {
 }
 
 /// Runs a campaign under the full resilient runtime (see the crate docs'
-/// *Campaign resilience* section and [`CampaignOptions`]).
+/// *Campaign resilience* section and [`CampaignOptions`]): every
+/// pre-drawn plan is a one-plan [`Slice`] of one [`CampaignRun`].
 ///
 /// # Errors
 ///
@@ -952,130 +955,15 @@ pub fn run_campaign_with(
     // campaign draws the identical plan list and simply skips the
     // journaled indices.
     let plans = draw_plans(workload, config, options.sampling)?;
-
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: options.sampling,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: None,
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
-    };
-    let resumed = resume.len();
-
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let ResumeState {
-        records,
-        failures,
-        sections: _,
-    } = resume;
-    for (i, record) in records {
-        *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Record(record));
-    }
-    for (i, failure) in failures {
-        *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Failure(failure));
-    }
-    let pending: Vec<usize> = (0..plans.len())
-        .filter(|i| lock_ignoring_poison(&slots[*i]).is_none())
+    let run = CampaignRun::open(workload, config, options, None)?;
+    let slices: Vec<Slice> = (plans.iter().enumerate())
+        .map(|(i, &plan)| Slice {
+            tag: None,
+            plans: vec![(i, plan)],
+        })
         .collect();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let journal_error: Mutex<Option<JournalError>> = Mutex::new(None);
-
-    // One lowering for the whole campaign; worker threads share it and
-    // each run a private resettable machine against it.
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor =
-                    PlanExecutor::new(workload, config.seed, options, compiled.as_ref());
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let i = pending[n];
-                    let slot = executor.execute(i, plans[i]);
-                    if let Some(journal) = &journal {
-                        let written = match &slot {
-                            PlanOutcome::Record(record) => journal.append_record(i, record),
-                            PlanOutcome::Failure(failure) => journal.append_failure(failure),
-                        };
-                        if let Err(e) = written {
-                            // Losing the checkpoint makes further work
-                            // unresumable; stop the campaign instead of
-                            // silently continuing without it.
-                            lock_ignoring_poison(&journal_error).get_or_insert(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    *lock_ignoring_poison(&slots[i]) = Some(slot);
-                }
-            });
-        }
-    });
-
-    if let Some(e) = lock_ignoring_poison(&journal_error).take() {
-        return Err(CampaignError::Journal(e));
-    }
-
-    let mut records = Vec::with_capacity(plans.len());
-    let mut harness_failures = Vec::new();
-    let mut missing = 0usize;
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(PlanOutcome::Record(record)) => records.push(record),
-            Some(PlanOutcome::Failure(failure)) => harness_failures.push(failure),
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    harness_failures.sort_by_key(|f| f.plan_index);
-
-    Ok(CampaignResult {
-        records,
-        harness_failures,
-        resumed,
-        nominal_insts: workload.nominal_insts,
-    })
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock. The holders
-/// in this module only ever replace the value wholesale, so a panic
-/// mid-critical-section cannot leave it torn.
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
+    run.execute(&slices)?;
+    run.finish(plans.len())
 }
 
 /// One isolated attempt: run the interpreter and classify the output.

@@ -5,36 +5,26 @@
 //! one *round* at a time, because the distribution of round `k+1`
 //! depends on the labels of rounds `0..=k` (the margin-weighted site
 //! distribution of `ipas-core`'s adaptive driver). This module supplies
-//! the two pieces that stay below the training loop:
-//!
-//! * [`draw_uniform_site_plans`] / [`draw_weighted_site_plans`] — one
-//!   round's plans from an *externally owned* RNG, so every draw of the
-//!   campaign still flows from the single seeded plan RNG and the whole
-//!   campaign stays a pure function of `(workload, config, params)`;
-//! * [`execute_round`] — run one round's plans with the full resilient
-//!   runtime, resume-filling from the journal at *global* plan indices
-//!   and checkpointing all fresh outcomes of the round in one ordered
-//!   write tagged with the round id.
+//! the round draws that stay below the training loop:
+//! [`draw_uniform_site_plans`] / [`draw_weighted_site_plans`] draw one
+//! round's plans from an *externally owned* RNG, so every draw of the
+//! campaign still flows from the single seeded plan RNG and the whole
+//! campaign stays a pure function of `(workload, config, params)`. A
+//! drawn round executes as one round-tagged [`crate::Slice`] of a
+//! [`crate::CampaignRun`], so its fresh outcomes are journaled in one
+//! ordered write whose bytes do not depend on the thread count.
 //!
 //! Determinism contract: the weighted draw rejects degenerate weights
 //! *before* consuming any randomness ([`UniformFallback`]), so the
 //! caller's uniform fallback draws from the identical RNG state — a
 //! resumed campaign that recomputes the same weights takes the same
-//! branch and draws the same plans. The journal write is one ordered
-//! buffer per round, so the journal bytes are independent of thread
-//! count and a crash can only tear the final line.
+//! branch and draws the same plans.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::Rng;
 
-use crate::{
-    lock_ignoring_poison, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions,
-    CompiledProgram, FaultModel, Injection, PlanExecutor, PlanOutcome, ResumeState, SiteCount,
-    Workload,
-};
+use crate::{FaultModel, Injection, SiteCount};
 
 /// Why an adaptive round degraded to uniform site sampling instead of
 /// the margin-weighted distribution. Falling back is not an error — a
@@ -146,122 +136,13 @@ pub fn draw_weighted_site_plans(
         .collect())
 }
 
-/// The outcomes of one executed adaptive round.
-#[derive(Debug)]
-pub struct RoundExecution {
-    /// `(global plan index, outcome)` for every plan of the round, in
-    /// plan order.
-    pub outcomes: Vec<(usize, PlanOutcome)>,
-    /// Plans of this round recovered from the journal instead of being
-    /// re-executed.
-    pub resumed: usize,
-    /// Plans actually executed by this invocation.
-    pub executed: usize,
-}
-
-/// Executes one round's plans (global indices `base..base + plans.len()`)
-/// with the resilient runtime of [`crate::run_campaign_with`]: panic
-/// isolation, deterministic retries, the wall-clock watchdog, and
-/// work-shared threads.
-///
-/// Plans already present in `resume` (journaled by a previous
-/// invocation) are filled without re-execution. All *fresh* outcomes
-/// are checkpointed in one ordered write tagged with `round`, so the
-/// journal bytes are identical for any thread count and a kill
-/// mid-round can only tear the final line — the torn-tail shape resume
-/// already tolerates.
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] when the checkpoint write fails;
-/// [`CampaignError::Incomplete`] when a plan ends up without an outcome
-/// (an internal invariant violation).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_round(
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-    compiled: Option<&CompiledProgram>,
-    journal: Option<&CampaignJournal>,
-    resume: &ResumeState,
-    base: usize,
-    round: u32,
-    plans: &[Injection],
-) -> Result<RoundExecution, CampaignError> {
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let mut resumed = 0usize;
-    for (j, slot) in slots.iter().enumerate() {
-        let i = base + j;
-        if let Some(record) = resume.records.get(&i) {
-            *lock_ignoring_poison(slot) = Some(PlanOutcome::Record(*record));
-            resumed += 1;
-        } else if let Some(failure) = resume.failures.get(&i) {
-            *lock_ignoring_poison(slot) = Some(PlanOutcome::Failure(failure.clone()));
-            resumed += 1;
-        }
-    }
-    let pending: Vec<usize> = (0..plans.len())
-        .filter(|j| lock_ignoring_poison(&slots[*j]).is_none())
-        .collect();
-    let executed = pending.len();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor = PlanExecutor::new(workload, config.seed, options, compiled);
-                loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let j = pending[n];
-                    let slot = executor.execute(base + j, plans[j]);
-                    *lock_ignoring_poison(&slots[j]) = Some(slot);
-                }
-            });
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(plans.len());
-    let mut fresh = Vec::with_capacity(executed);
-    let mut missing = 0usize;
-    for (j, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(outcome) => {
-                if !resume.contains(base + j) {
-                    fresh.push((base + j, outcome.clone()));
-                }
-                outcomes.push((base + j, outcome));
-            }
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    if let Some(journal) = journal {
-        journal.append_outcomes_in_section(&fresh, Some(round))?;
-    }
-    Ok(RoundExecution {
-        outcomes,
-        resumed,
-        executed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{profile_sites, GoldenToleranceVerifier, JournalHeader, SamplingMode};
+    use crate::{
+        profile_sites, CampaignConfig, CampaignOptions, CampaignRun, GoldenToleranceVerifier,
+        PlanOutcome, SamplingMode, Slice, Workload,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -325,8 +206,16 @@ mod tests {
         let profile = profile_sites(&w).expect("profile");
         let mut rng = StdRng::seed_from_u64(5);
         let plans = draw_uniform_site_plans(&profile, FaultModel::SingleBit, 12, &mut rng);
-        let options = CampaignOptions::default();
         let base = 12; // pretend this is round 1 of a 12-plan round size
+        let round = Slice {
+            tag: Some(1),
+            plans: (base..).zip(plans.iter().copied()).collect(),
+        };
+        let outcomes = |run: &CampaignRun<&Workload>| -> Vec<(usize, PlanOutcome)> {
+            (base..base + 12)
+                .map(|i| (i, run.outcome(i).expect("round plan done").clone()))
+                .collect()
+        };
         let mut results = Vec::new();
         for threads in [1usize, 4] {
             let config = CampaignConfig {
@@ -335,23 +224,18 @@ mod tests {
                 threads,
                 ..CampaignConfig::default()
             };
-            let exec = execute_round(
-                &w,
-                &config,
-                &options,
-                None,
-                None,
-                &ResumeState::default(),
-                base,
-                1,
-                &plans,
-            )
-            .expect("round");
-            assert_eq!(exec.executed, 12);
-            assert_eq!(exec.resumed, 0);
-            assert_eq!(exec.outcomes.len(), 12);
-            assert!(exec.outcomes.iter().map(|(i, _)| *i).eq(base..base + 12));
-            results.push(exec.outcomes);
+            let run = CampaignRun::open(&w, &config, &CampaignOptions::default(), Some(12))
+                .expect("open");
+            assert_eq!(
+                run.execute(std::slice::from_ref(&round)).expect("round"),
+                12
+            );
+            assert_eq!(run.resumed(), 0);
+            assert!(
+                (0..base).all(|i| run.outcome(i).is_none()),
+                "only the round ran"
+            );
+            results.push(outcomes(&run));
         }
         assert_eq!(results[0], results[1], "thread count is invisible");
 
@@ -364,57 +248,60 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_file(&path);
-        let header = JournalHeader {
-            workload: w.name.clone(),
-            entry: w.entry.clone(),
-            seed: 5,
-            runs: 24,
-            sampling: SamplingMode::StaticUniform,
-            fault_model: FaultModel::SingleBit,
-            eligible_results: w.eligible_results,
-            nominal_insts: w.nominal_insts,
-            round_runs: Some(12),
-        };
         let config = CampaignConfig {
             runs: 24,
             seed: 5,
-            threads: 1,
+            threads: 4,
             ..CampaignConfig::default()
         };
-        {
-            let (journal, resume) = CampaignJournal::open(&path, &header).expect("fresh");
-            let exec = execute_round(
-                &w,
-                &config,
-                &options,
-                None,
-                Some(&journal),
-                &resume,
-                base,
-                1,
-                &plans,
-            )
-            .expect("journaled round");
-            assert_eq!(exec.executed, 12);
-        }
-        let (journal, resume) = CampaignJournal::open(&path, &header).expect("reopen");
-        assert_eq!(resume.len(), 12);
-        assert!(resume.sections.values().all(|&s| s == 1), "round tags");
-        let exec = execute_round(
-            &w,
-            &config,
-            &options,
-            None,
-            Some(&journal),
-            &resume,
-            base,
-            1,
-            &plans,
-        )
-        .expect("resumed round");
-        assert_eq!(exec.executed, 0, "everything resumes");
-        assert_eq!(exec.resumed, 12);
-        assert_eq!(exec.outcomes, results[0]);
+        let options = CampaignOptions {
+            sampling: SamplingMode::StaticUniform,
+            journal: Some(path.clone()),
+            ..CampaignOptions::default()
+        };
+        let run = CampaignRun::open(&w, &config, &options, Some(12)).expect("fresh");
+        assert_eq!(
+            run.execute(std::slice::from_ref(&round))
+                .expect("journaled"),
+            12
+        );
+        drop(run);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text
+            .lines()
+            .next()
+            .expect("header")
+            .contains("\"rounds\":12"));
+        let records: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(records.len(), 12, "one line per plan");
+        assert!(
+            records.iter().all(|l| l.ends_with(",\"sec\":1}")),
+            "round tags"
+        );
+        let plan_order: Vec<String> = (base..base + 12)
+            .map(|i| format!("\"plan\":{i},"))
+            .collect();
+        assert!(
+            records
+                .iter()
+                .zip(&plan_order)
+                .all(|(l, p)| l.contains(p.as_str())),
+            "the round is committed in plan order on any thread count"
+        );
+
+        let run = CampaignRun::open(&w, &config, &options, Some(12)).expect("reopen");
+        assert_eq!(run.resumed(), 12);
+        assert_eq!(
+            run.execute(std::slice::from_ref(&round)).expect("resumed"),
+            0
+        );
+        assert_eq!(outcomes(&run), results[0]);
+        drop(run);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            text,
+            "nothing re-journaled"
+        );
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

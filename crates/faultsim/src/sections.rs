@@ -15,9 +15,9 @@
 //!    plans are resolved through the clean run's run-length-encoded
 //!    eligible trace ([`eligible_trace`]), whose prefix sums map any
 //!    global eligible index back to its static site;
-//! 3. the selected sections' plans execute on [`crate::PlanExecutor`]s
-//!    — whose outcomes are invariant to chunking — and splice back into
-//!    a [`CampaignResult`] by plan index.
+//! 3. the selected sections' plans execute as section-tagged one-plan
+//!    [`Slice`]s of a [`CampaignRun`] — whose outcomes are invariant to
+//!    slicing — and splice back into a [`CampaignResult`] by plan index.
 //!
 //! Because every plan is executed identically and merely *grouped*
 //! differently, the composed result is byte-identical to the monolithic
@@ -27,17 +27,13 @@
 //! fingerprint and plan slice are unchanged can be spliced in without
 //! re-executing it (see `ipas-core`'s incremental driver).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use ipas_analysis::sections::SectionPartition;
 use ipas_interp::{Machine, RunConfig, RunStatus};
 use ipas_ir::{FuncId, InstId};
 
 use crate::{
-    draw_plans, lock_ignoring_poison, profile_sites, CampaignConfig, CampaignError,
-    CampaignJournal, CampaignOptions, CampaignResult, CompiledProgram, Engine, Injection,
-    JournalHeader, PlanExecutor, PlanOutcome, ResumeState, SiteCount, Workload,
+    draw_plans, profile_sites, CampaignConfig, CampaignError, CampaignOptions, CampaignResult,
+    CampaignRun, Injection, PlanOutcome, SiteCount, Slice, Workload,
 };
 
 /// Runs the workload once cleanly and returns the run-length-encoded
@@ -180,159 +176,18 @@ pub fn section_sites(
     Ok(per)
 }
 
-/// The outcomes of a (possibly partial) section-granular execution.
-#[derive(Debug)]
-pub struct SectionExecution {
-    /// `(plan index, outcome)` for every plan of a selected section, in
-    /// plan order.
-    pub outcomes: Vec<(usize, PlanOutcome)>,
-    /// Selected plans recovered from the checkpoint journal instead of
-    /// being re-executed.
-    pub resumed: usize,
-    /// Selected plans actually (re-)executed by this invocation.
-    pub executed: usize,
-}
-
-/// Executes the plans of every section whose `run_mask` entry is true,
-/// with the full resilient runtime of [`crate::run_campaign_with`]
-/// (panic isolation, retries, watchdog, journaling — records are
-/// journaled with their section tag). Plans of unselected sections are
-/// not touched; the caller splices their cached outcomes instead.
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] on checkpoint failures;
-/// [`CampaignError::Incomplete`] when a selected plan ends up without
-/// an outcome (an internal invariant violation).
-pub fn execute_sections(
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-    plans: &[Injection],
-    assignment: &[u32],
-    run_mask: &[bool],
-) -> Result<SectionExecution, CampaignError> {
+/// One section-tagged one-plan [`Slice`] per plan whose section is
+/// selected by `run_mask`, in plan order. Plans of unselected sections
+/// are left out; the caller splices their cached outcomes instead.
+pub fn section_slices(plans: &[Injection], assignment: &[u32], run_mask: &[bool]) -> Vec<Slice> {
     assert_eq!(plans.len(), assignment.len(), "assignment is per plan");
-    let selected: Vec<usize> = (0..plans.len())
-        .filter(|&i| {
-            run_mask
-                .get(assignment[i] as usize)
-                .copied()
-                .unwrap_or(false)
+    (plans.iter().zip(assignment).enumerate())
+        .filter(|(_, (_, &sec))| run_mask.get(sec as usize).copied().unwrap_or(false))
+        .map(|(i, (&plan, &sec))| Slice {
+            tag: Some(sec),
+            plans: vec![(i, plan)],
         })
-        .collect();
-
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: options.sampling,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: None,
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
-    };
-
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let mut resumed = 0usize;
-    for &i in &selected {
-        if let Some(record) = resume.records.get(&i) {
-            *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Record(*record));
-            resumed += 1;
-        } else if let Some(failure) = resume.failures.get(&i) {
-            *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Failure(failure.clone()));
-            resumed += 1;
-        }
-    }
-    let pending: Vec<usize> = selected
-        .iter()
-        .copied()
-        .filter(|i| lock_ignoring_poison(&slots[*i]).is_none())
-        .collect();
-    let executed = pending.len();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let journal_error: Mutex<Option<crate::JournalError>> = Mutex::new(None);
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor =
-                    PlanExecutor::new(workload, config.seed, options, compiled.as_ref());
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let i = pending[n];
-                    let slot = executor.execute(i, plans[i]);
-                    if let Some(journal) = &journal {
-                        let written = match &slot {
-                            PlanOutcome::Record(record) => {
-                                journal.append_record_in_section(i, record, assignment[i])
-                            }
-                            PlanOutcome::Failure(failure) => journal.append_failure(failure),
-                        };
-                        if let Err(e) = written {
-                            lock_ignoring_poison(&journal_error).get_or_insert(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    *lock_ignoring_poison(&slots[i]) = Some(slot);
-                }
-            });
-        }
-    });
-
-    if let Some(e) = lock_ignoring_poison(&journal_error).take() {
-        return Err(CampaignError::Journal(e));
-    }
-
-    let mut outcomes = Vec::with_capacity(selected.len());
-    let mut missing = 0usize;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(outcome) => outcomes.push((i, outcome)),
-            None => {
-                if selected.binary_search(&i).is_ok() {
-                    missing += 1;
-                }
-            }
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    Ok(SectionExecution {
-        outcomes,
-        resumed,
-        executed,
-    })
+        .collect()
 }
 
 /// Splices per-section outcome slices back into a whole-campaign
@@ -411,7 +266,7 @@ impl SectionalCampaign {
 /// # Errors
 ///
 /// The union of [`crate::draw_plans`], [`assign_sections`],
-/// [`execute_sections`], and [`splice_outcomes`] errors.
+/// [`CampaignRun`], and [`splice_outcomes`] errors.
 pub fn run_campaign_sectional(
     workload: &Workload,
     config: &CampaignConfig,
@@ -420,18 +275,16 @@ pub fn run_campaign_sectional(
     let partition = SectionPartition::compute(&workload.module);
     let plans = draw_plans(workload, config, options.sampling)?;
     let assignment = assign_sections(workload, &partition, &plans)?;
-    let mask = vec![true; partition.len()];
-    let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
-    let result = splice_outcomes(
-        plans.len(),
-        exec.outcomes,
-        exec.resumed,
-        workload.nominal_insts,
-    )?;
+    let run = CampaignRun::open(workload, config, options, None)?;
+    run.execute(&section_slices(
+        &plans,
+        &assignment,
+        &vec![true; partition.len()],
+    ))?;
     Ok(SectionalCampaign {
+        result: run.finish(plans.len())?,
         partition,
         assignment,
-        result,
     })
 }
 
@@ -529,14 +382,20 @@ mod tests {
         let chosen = assignment[0];
         let mut mask = vec![false; partition.len()];
         mask[chosen as usize] = true;
-        let exec =
-            execute_sections(&w, &config, &options, &plans, &assignment, &mask).expect("exec");
+        let slices = section_slices(&plans, &assignment, &mask);
+        let run = CampaignRun::open(&w, &config, &options, None).expect("open");
+        let executed = run.execute(&slices).expect("exec");
         let expected = assignment.iter().filter(|&&s| s == chosen).count();
-        assert_eq!(exec.executed, expected);
-        assert_eq!(exec.outcomes.len(), expected);
-        assert!(exec.outcomes.iter().all(|(i, _)| assignment[*i] == chosen));
+        assert_eq!(executed, expected);
+        assert_eq!(slices.len(), expected);
+        assert!(slices.iter().all(|s| s.tag == Some(chosen)));
+        let done: Vec<usize> = (0..plans.len())
+            .filter(|&i| run.outcome(i).is_some())
+            .collect();
+        assert_eq!(done.len(), expected);
+        assert!(done.iter().all(|&i| assignment[i] == chosen));
         // Splicing a partial execution is an explicit incompleteness.
-        match splice_outcomes(plans.len(), exec.outcomes, 0, w.nominal_insts) {
+        match run.finish(plans.len()) {
             Err(CampaignError::Incomplete { missing }) => {
                 assert_eq!(missing, plans.len() - expected);
             }

@@ -17,6 +17,8 @@
 //! * [`printer`]/[`parser`] — a round-trippable textual format.
 //! * [`verify`] — structural and type checking.
 //! * [`dom`] — dominator tree and dominance frontiers.
+//! * [`flatjson`] — the flat JSON line codec shared by campaign
+//!   journals, job specifications, and the serving protocol.
 //! * [`passes`] — mem2reg (SSA construction), constant folding, and dead
 //!   code elimination.
 //!
@@ -45,6 +47,7 @@
 
 pub mod builder;
 pub mod dom;
+pub mod flatjson;
 pub mod function;
 pub mod inst;
 pub mod module;

@@ -19,6 +19,7 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::dom::DomTree;
+use crate::flatjson::escape_into;
 use crate::function::Function;
 use crate::module::{FuncId, Module};
 use crate::passmgr::{create_pass, AnalysisManager, ModulePass, Pass, PipelineItem, PipelineSpec};
@@ -160,17 +161,19 @@ impl PipelineStats {
     pub fn to_json(&self, pipeline: &str) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"pipeline\": \"{}\",", escape_json(pipeline));
+        out.push_str("{\n  \"pipeline\": \"");
+        escape_into(&mut out, pipeline);
+        out.push_str("\",\n");
         let _ = writeln!(out, "  \"executions\": {},", self.executions);
         let _ = writeln!(out, "  \"skipped\": {},", self.skipped);
         out.push_str("  \"passes\": [\n");
         let total = self.order.len();
         for (i, (name, stat)) in self.passes().enumerate() {
+            out.push_str("    {\"name\": \"");
+            escape_into(&mut out, name);
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"runs\": {}, \"changed_runs\": {}, \"wall_us\": {}, \"counters\": {{",
-                escape_json(name),
+                "\", \"runs\": {}, \"changed_runs\": {}, \"wall_us\": {}, \"counters\": {{",
                 stat.runs,
                 stat.changed_runs,
                 stat.wall_nanos / 1_000
@@ -179,7 +182,9 @@ impl PipelineStats {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": {}", escape_json(cname), v);
+                out.push('"');
+                escape_into(&mut out, cname);
+                let _ = write!(out, "\": {v}");
             }
             out.push_str("}}");
             out.push_str(if i + 1 == total { "\n" } else { ",\n" });
@@ -187,17 +192,6 @@ impl PipelineStats {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One pass application, in execution order. The bisector replays a

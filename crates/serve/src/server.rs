@@ -10,16 +10,19 @@
 //! three task shapes on the scheduler:
 //!
 //! 1. **prepare** — compile the source, build the workload, pre-draw
-//!    the full injection plan list, open the campaign journal (resuming
-//!    completed plan indices from a previous daemon process), and split
-//!    the pending indices into chunks distributed across shards;
-//! 2. **chunk** — execute a slice of plans on a private
-//!    [`PlanExecutor`], append the outcomes to the journal in one
-//!    atomic-at-EOF write, and stream them to subscribers;
-//! 3. **finalize** — assemble the [`ipas_faultsim::CampaignResult`]
-//!    in plan order (chunk scheduling is invisible: plans were
-//!    pre-drawn from one seeded RNG), build the job's artifact, store
-//!    it, and emit the terminal `result` event.
+//!    the full injection plan list, and open the job's
+//!    [`CampaignRun`] (resuming completed plan indices from a previous
+//!    daemon process's journal); then **advance**: split the pending
+//!    indices into chunks distributed across shards (adaptive jobs
+//!    first draw their next round);
+//! 2. **chunk** — run one chunk as a [`Slice`] of the job's run on the
+//!    worker ([`CampaignRun::run_slice`]: one journal append per chunk)
+//!    and stream its journal lines to subscribers; the last chunk
+//!    advances the job again;
+//! 3. **finalize** — splice the [`ipas_faultsim::CampaignResult`] in
+//!    plan order (chunk scheduling is invisible: plans were pre-drawn
+//!    from one seeded RNG), build the job's artifact, store it, and
+//!    emit the terminal `result` event.
 //!
 //! # Restart-resume
 //!
@@ -57,9 +60,8 @@ use ipas_core::policy::ProtectionPolicy;
 use ipas_core::training::LabelKind;
 use ipas_faultsim::sections::assign_sections;
 use ipas_faultsim::{
-    draw_plans, outcome_line_in_section, CampaignConfig, CampaignJournal, CampaignOptions,
-    CampaignResult, CompiledProgram, Engine, Injection, InjectionRecord, JournalHeader, Outcome,
-    PlanExecutor, PlanOutcome, ResumeState, Workload,
+    draw_plans, outcome_line_in_section, CampaignConfig, CampaignResult, CampaignRun, Injection,
+    InjectionRecord, Outcome, PlanOutcome, Slice, Workload,
 };
 use ipas_store::{
     ArtifactKind, CampaignSummary, Fingerprint, Key, ProtectedModule, SingleFlight, Store,
@@ -145,8 +147,10 @@ fn install_signal_handlers() {
 /// Everything chunk tasks of one running job share.
 struct RunCtx {
     job: Arc<Job>,
-    workload: Workload,
-    compiled: Option<CompiledProgram>,
+    /// The job's campaign: workload, lowering, journal, and one outcome
+    /// slot per possible plan (`config.runs`); adaptive jobs that stop
+    /// early finalize over the drawn prefix only.
+    run: CampaignRun<Workload>,
     /// Every plan drawn so far. Classic jobs draw the full list during
     /// prepare; adaptive jobs ([`JobSpec::adaptive`]) grow it round by
     /// round, so reads go through the lock.
@@ -161,14 +165,20 @@ struct RunCtx {
     /// Round size for adaptive jobs; plan `i` belongs to round
     /// `i / round_runs` (only the final round can be short).
     round_runs: Option<usize>,
-    /// One slot per *possible* plan (`config.runs`); adaptive jobs that
-    /// stop early leave the tail untouched and finalize over
-    /// `plans.len()` only.
-    slots: Vec<Mutex<Option<PlanOutcome>>>,
-    journal: CampaignJournal,
     remaining_chunks: AtomicUsize,
     config: CampaignConfig,
-    options: CampaignOptions,
+}
+
+impl RunCtx {
+    /// The journal tag of plan `i`: its section for sectional jobs, its
+    /// round for adaptive jobs. Chunks never mix tags.
+    fn tag(&self, i: usize) -> Option<u32> {
+        match (&self.assignment, self.round_runs) {
+            (Some(assignment), _) => Some(assignment[i]),
+            (None, Some(round_runs)) => Some((i / round_runs) as u32),
+            (None, None) => None,
+        }
+    }
 }
 
 struct Daemon {
@@ -336,8 +346,7 @@ impl Daemon {
             return;
         }
         match self.prepare_ctx(&job) {
-            Ok(ctx) if ctx.adaptive.is_some() => self.advance_round(ctx),
-            Ok(ctx) => self.dispatch_chunks(ctx),
+            Ok(ctx) => self.advance(ctx),
             Err(reason) => self.fail(&job, reason),
         }
     }
@@ -375,10 +384,9 @@ impl Daemon {
         };
         let config = spec.campaign_config();
         let mut options = spec.campaign_options();
-        let journal_path = self.journal_path(&job.id);
-        options.journal = Some(journal_path.clone());
+        options.journal = Some(self.journal_path(&job.id));
         // Adaptive jobs draw nothing up front: the driver draws round
-        // by round as labels accumulate (see `advance_round`).
+        // by round as labels accumulate (see `advance`).
         let adaptive = if spec.adaptive {
             let params = AdaptiveParams::for_budget(config.runs);
             Some(
@@ -404,43 +412,9 @@ impl Daemon {
         } else {
             None
         };
-        let header = JournalHeader {
-            workload: workload.name.clone(),
-            entry: workload.entry.clone(),
-            seed: config.seed,
-            runs: config.runs,
-            sampling: options.sampling,
-            fault_model: config.fault_model,
-            eligible_results: workload.eligible_results,
-            nominal_insts: workload.nominal_insts,
-            round_runs,
-        };
-        let (journal, resume) = CampaignJournal::open(&journal_path, &header)
+        let run = CampaignRun::open(workload, &config, &options, round_runs)
             .map_err(|e| format!("journal failed: {e}"))?;
-        // Adaptive slots cover the whole budget; rounds fill a prefix.
-        let slot_count = if spec.adaptive {
-            config.runs
-        } else {
-            plans.len()
-        };
-        let slots: Vec<Mutex<Option<PlanOutcome>>> =
-            (0..slot_count).map(|_| Mutex::new(None)).collect();
-        let ResumeState {
-            records,
-            failures,
-            sections: _,
-        } = resume;
-        let resumed = records.len() + failures.len();
-        for (i, record) in records {
-            *lock(&slots[i]) = Some(PlanOutcome::Record(record));
-        }
-        for (i, failure) in failures {
-            *lock(&slots[i]) = Some(PlanOutcome::Failure(failure));
-        }
-        let compiled = match config.engine {
-            Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-            Engine::Reference => None,
-        };
+        let resumed = run.resumed();
         job.update(|p| {
             p.state = JobState::Running;
             p.total = plans.len();
@@ -450,180 +424,108 @@ impl Daemon {
             .push(proto::progress_event(0, plans.len(), resumed));
         Ok(Arc::new(RunCtx {
             job: Arc::clone(job),
-            workload,
-            compiled,
+            run,
             plans: Mutex::new(plans),
             assignment,
             adaptive: adaptive.map(Mutex::new),
             round_runs,
-            slots,
-            journal,
             remaining_chunks: AtomicUsize::new(0),
             config,
-            options,
         }))
     }
 
-    /// Adaptive task: retrains on every label collected so far, draws
-    /// the next margin-weighted round, and dispatches its chunks — or
-    /// hands off to finalize when the driver stops (entropy stability
-    /// or budget). Fully journal-resumed rounds are replayed inline
-    /// without touching the scheduler.
-    fn advance_round(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
-        let Some(driver) = &ctx.adaptive else {
-            let daemon = Arc::clone(&self);
-            self.scheduler.submit(move || daemon.finalize(ctx));
-            return;
-        };
-        loop {
-            if ctx.job.canceled() {
-                let daemon = Arc::clone(&self);
-                self.scheduler.submit(move || daemon.finalize(ctx));
+    /// Dispatches the job's pending plans as stealable chunks, or — once
+    /// every drawn plan is done — lets an adaptive job retrain on the
+    /// labels so far and draw its next round. A job with nothing left
+    /// to draw (or a canceled one) hands off to finalize. Fully
+    /// journal-resumed rounds are replayed inline without touching the
+    /// scheduler.
+    fn advance(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
+        while !ctx.job.canceled() {
+            let drawn = lock(&ctx.plans).len();
+            let mut pending: Vec<usize> = (0..drawn)
+                .filter(|&i| ctx.run.outcome(i).is_none())
+                .collect();
+            if !pending.is_empty() {
+                // A chunk never crosses a tag boundary (section or
+                // round), so one tag covers each journal write.
+                // Oversized groups still split at the configured size.
+                pending.sort_by_key(|&i| ctx.tag(i));
+                let plans = lock(&ctx.plans);
+                let chunks: Vec<Slice> = pending
+                    .chunk_by(|&a, &b| ctx.tag(a) == ctx.tag(b))
+                    .flat_map(|group| group.chunks(self.config.chunk.max(1)))
+                    .map(|chunk| Slice {
+                        tag: ctx.tag(chunk[0]),
+                        plans: chunk.iter().map(|&i| (i, plans[i])).collect(),
+                    })
+                    .collect();
+                drop(plans);
+                ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
+                // Block-distribute across shards so every worker has
+                // stealable pieces of this job from the start.
+                for (i, chunk) in chunks.into_iter().enumerate() {
+                    let daemon = Arc::clone(&self);
+                    let ctx = Arc::clone(&ctx);
+                    self.scheduler
+                        .submit_to(i, move || daemon.run_chunk(ctx, chunk));
+                }
                 return;
             }
-            let base = lock(&ctx.plans).len();
-            let labeled: Vec<(usize, InjectionRecord)> = (0..base)
-                .filter_map(|i| match *lock(&ctx.slots[i]) {
-                    Some(PlanOutcome::Record(record)) => Some((i, record)),
+            let Some(driver) = &ctx.adaptive else {
+                break;
+            };
+            let labeled: Vec<(usize, InjectionRecord)> = (0..drawn)
+                .filter_map(|i| match ctx.run.outcome(i) {
+                    Some(PlanOutcome::Record(record)) => Some((i, *record)),
                     _ => None,
                 })
                 .collect();
             let next = lock(driver).next_round(&labeled);
             let Some((_round, _sampling, round_plans)) = next else {
-                let daemon = Arc::clone(&self);
-                self.scheduler.submit(move || daemon.finalize(ctx));
-                return;
+                break;
             };
-            let drawn = base + round_plans.len();
+            let total = drawn + round_plans.len();
             lock(&ctx.plans).extend(round_plans);
-            ctx.job.update(|p| p.total = drawn);
-            let pending: Vec<usize> = (base..drawn)
-                .filter(|i| lock(&ctx.slots[*i]).is_none())
-                .collect();
-            if pending.is_empty() {
-                // The whole round was resumed from the journal; replay
-                // the next draw against the now-complete labels.
-                continue;
-            }
-            // Chunks stay inside the round, so every journal write of a
-            // chunk shares one round tag.
-            let chunk_size = self.config.chunk.max(1);
-            let chunks: Vec<Vec<usize>> = pending.chunks(chunk_size).map(|c| c.to_vec()).collect();
-            ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
-            for (i, chunk) in chunks.into_iter().enumerate() {
-                let daemon = Arc::clone(&self);
-                let ctx = Arc::clone(&ctx);
-                self.scheduler
-                    .submit_to(i, move || daemon.run_chunk(ctx, chunk));
-            }
-            return;
+            ctx.job.update(|p| p.total = total);
         }
-    }
-
-    fn dispatch_chunks(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
-        let drawn = lock(&ctx.plans).len();
-        let pending: Vec<usize> = (0..drawn)
-            .filter(|i| lock(&ctx.slots[*i]).is_none())
-            .collect();
-        if pending.is_empty() {
-            let daemon = Arc::clone(&self);
-            self.scheduler.submit(move || daemon.finalize(ctx));
-            return;
-        }
-        let chunk_size = self.config.chunk.max(1);
-        let chunks: Vec<Vec<usize>> = match &ctx.assignment {
-            // Sectional jobs: a stealable chunk never crosses a section
-            // boundary, so every journal write of a chunk shares one
-            // section tag and per-section progress is a chunk count.
-            // Oversized sections still split at the configured size.
-            Some(assignment) => {
-                let sections = assignment
-                    .iter()
-                    .map(|&s| s as usize + 1)
-                    .max()
-                    .unwrap_or(0);
-                let mut by_section: Vec<Vec<usize>> = vec![Vec::new(); sections];
-                for &i in &pending {
-                    by_section[assignment[i] as usize].push(i);
-                }
-                by_section
-                    .iter()
-                    .flat_map(|sec| sec.chunks(chunk_size))
-                    .map(|c| c.to_vec())
-                    .collect()
-            }
-            None => pending.chunks(chunk_size).map(|c| c.to_vec()).collect(),
-        };
-        ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
-        // Block-distribute across shards so every worker has stealable
-        // pieces of this job from the start.
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let daemon = Arc::clone(&self);
-            let ctx = Arc::clone(&ctx);
-            self.scheduler
-                .submit_to(i, move || daemon.run_chunk(ctx, chunk));
-        }
+        let daemon = Arc::clone(&self);
+        self.scheduler.submit(move || daemon.finalize(ctx));
     }
 
     /// Task 2: execute one stealable chunk of plan indices.
-    fn run_chunk(self: Arc<Daemon>, ctx: Arc<RunCtx>, chunk: Vec<usize>) {
+    fn run_chunk(self: Arc<Daemon>, ctx: Arc<RunCtx>, chunk: Slice) {
         if !ctx.job.canceled() {
-            let mut executor = PlanExecutor::new(
-                &ctx.workload,
-                ctx.config.seed,
-                &ctx.options,
-                ctx.compiled.as_ref(),
-            );
-            let chunk_plans: Vec<Injection> = {
-                let plans = lock(&ctx.plans);
-                chunk.iter().map(|&i| plans[i]).collect()
-            };
-            let outcomes: Vec<(usize, PlanOutcome)> = chunk
-                .iter()
-                .zip(&chunk_plans)
-                .map(|(&i, &plan)| (i, executor.execute(i, plan)))
-                .collect();
-            // Chunks of sectional jobs are section-aligned and chunks
-            // of adaptive jobs round-aligned, so one tag covers the
-            // whole write.
-            let section = match (&ctx.assignment, ctx.round_runs) {
-                (Some(assignment), _) => Some(assignment[chunk[0]]),
-                (None, Some(round_runs)) => Some((chunk[0] / round_runs) as u32),
-                (None, None) => None,
-            };
-            // One write per chunk: a torn write can only tear the final
-            // line, which journal resume tolerates.
-            if let Err(e) = ctx.journal.append_outcomes_in_section(&outcomes, section) {
-                ctx.job.update(|p| {
-                    p.error
-                        .get_or_insert_with(|| format!("journal write failed: {e}"));
-                });
-                ctx.job.request_cancel();
-            } else {
-                for (i, outcome) in outcomes {
+            match ctx.run.run_slice(&chunk) {
+                Err(e) => {
+                    ctx.job.update(|p| {
+                        p.error
+                            .get_or_insert_with(|| format!("journal write failed: {e}"));
+                    });
+                    ctx.job.request_cancel();
+                }
+                Ok(executed) => {
+                    for &(i, _) in &chunk.plans {
+                        if let Some(outcome) = ctx.run.outcome(i) {
+                            let line = outcome_line_in_section(i, outcome, chunk.tag);
+                            ctx.job.events.push(line);
+                        }
+                    }
+                    self.executed_runs
+                        .fetch_add(executed as u64, Ordering::Relaxed);
+                    let progress = ctx.job.update(|p| {
+                        p.executed += executed;
+                        (p.executed, p.total, p.resumed)
+                    });
                     ctx.job
                         .events
-                        .push(outcome_line_in_section(i, &outcome, section));
-                    *lock(&ctx.slots[i]) = Some(outcome);
+                        .push(proto::progress_event(progress.0, progress.1, progress.2));
                 }
-                self.executed_runs
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                let progress = ctx.job.update(|p| {
-                    p.executed += chunk.len();
-                    (p.executed, p.total, p.resumed)
-                });
-                ctx.job
-                    .events
-                    .push(proto::progress_event(progress.0, progress.1, progress.2));
             }
         }
         if ctx.remaining_chunks.fetch_sub(1, Ordering::AcqRel) == 1 {
             let daemon = Arc::clone(&self);
-            if ctx.adaptive.is_some() {
-                self.scheduler.submit(move || daemon.advance_round(ctx));
-            } else {
-                self.scheduler.submit(move || daemon.finalize(ctx));
-            }
+            self.scheduler.submit(move || daemon.advance(ctx));
         }
     }
 
@@ -642,27 +544,9 @@ impl Daemon {
         // Adaptive jobs that stop early drew fewer plans than the
         // budget-sized slot vector; only drawn plans count.
         let drawn = lock(&ctx.plans).len();
-        let mut records = Vec::with_capacity(drawn);
-        let mut harness_failures = Vec::new();
-        let mut missing = 0usize;
-        for slot in &ctx.slots[..drawn] {
-            match lock(slot).clone() {
-                Some(PlanOutcome::Record(record)) => records.push(record),
-                Some(PlanOutcome::Failure(failure)) => harness_failures.push(failure),
-                None => missing += 1,
-            }
-        }
-        if missing > 0 {
-            self.fail(&job, format!("{missing} plans left unexecuted"));
-            return;
-        }
-        harness_failures.sort_by_key(|f| f.plan_index);
-        let resumed = job.progress().resumed;
-        let result = CampaignResult {
-            records,
-            harness_failures,
-            resumed,
-            nominal_insts: ctx.workload.nominal_insts,
+        let result = match ctx.run.finish(drawn) {
+            Ok(result) => result,
+            Err(e) => return self.fail(&job, e.to_string()),
         };
         match self.build_artifact(&ctx, &result) {
             Ok(payload) => {
@@ -679,6 +563,7 @@ impl Daemon {
     /// payload is what every subscriber receives byte-identically.
     fn build_artifact(&self, ctx: &RunCtx, result: &CampaignResult) -> Result<String, String> {
         let spec = &ctx.job.spec;
+        let workload = ctx.run.workload();
         let store = self
             .store
             .for_tenant(&spec.tenant)
@@ -689,8 +574,8 @@ impl Daemon {
         };
         match spec.kind {
             JobKind::Campaign | JobKind::Eval => {
-                let summary = summarize(&ctx.workload.name, &ctx.config, result);
-                let fp = summary_fingerprint(&ctx.workload.module, &ctx.workload.name, &ctx.config);
+                let summary = summarize(&workload.name, &ctx.config, result);
+                let fp = summary_fingerprint(&workload.module, &workload.name, &ctx.config);
                 let key = Key::of(&fp);
                 let (summary, _) = store
                     .memoize_shared(&self.flight, &key, || Ok::<_, String>(summary))
@@ -698,11 +583,11 @@ impl Daemon {
                 Ok(render_summary(&summary))
             }
             JobKind::Protect | JobKind::Train => {
-                let campaign_fp = campaign_fingerprint(&ctx.workload.module, &ctx.config);
+                let campaign_fp = campaign_fingerprint(&workload.module, &ctx.config);
                 let set_key = Key::of(&campaign_fp);
                 let (set, _) = store
                     .memoize_shared(&self.flight, &set_key, || {
-                        Ok::<_, String>(training_set_artifact(&ctx.workload, result))
+                        Ok::<_, String>(training_set_artifact(workload, result))
                     })
                     .map_err(store_err)?;
                 if spec.kind == JobKind::Train {
@@ -739,7 +624,7 @@ impl Daemon {
                         self.resolve_policy(&store, spec, &set, &campaign_fp)?;
                     let (module, stats, _) = memoized_protect(
                         Some(&store),
-                        &ctx.workload.module,
+                        &workload.module,
                         &policy,
                         model_key.as_ref(),
                     )
