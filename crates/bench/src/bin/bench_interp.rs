@@ -9,7 +9,17 @@
 //! records — a benchmark that silently diverged would be measuring two
 //! different computations — then reports wall-clock time, runs/second,
 //! and the compiled/reference speedup per workload plus the geometric
-//! mean.
+//! mean. Compiled campaigns start each run from the campaign's
+//! golden-run checkpoint ladder (see `docs/interpreter.md`), so the
+//! compiled column measures the engine *with* fast-forward; the
+//! reference engine always runs from the entry.
+//!
+//! Provenance: the report records the commit (`git describe --always
+//! --dirty`: a `-dirty` suffix marks uncommitted changes on top of it;
+//! `unknown` outside a git checkout), the host's core count (`nproc`),
+//! and the reference engine's runs/s (geometric mean over the
+//! workloads) as the same-run normalizer: dividing a compiled runs/s
+//! figure by it compares reports taken on different hosts.
 //!
 //! ```text
 //! cargo run --release -p ipas-bench --bin bench_interp [-- out.json]
@@ -129,7 +139,19 @@ fn main() {
         });
     }
 
-    let geomean = (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
+    let geomean_of = |f: &dyn Fn(&Row) -> f64| {
+        (rows.iter().map(|r| f(r).ln()).sum::<f64>() / rows.len() as f64).exp()
+    };
+    let geomean = geomean_of(&Row::speedup);
+    let normalizer = geomean_of(&|r| r.runs as f64 / r.reference_s);
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -137,10 +159,20 @@ fn main() {
         json,
         "  \"benchmark\": \"interp-engine-campaign-throughput\","
     );
+    let _ = writeln!(
+        json,
+        "  \"note\": \"compiled_s includes golden-run checkpoint fast-forward \
+         (one ladder capture per campaign, each run resumed from its last rung); \
+         reference_s runs every plan from the entry\","
+    );
     let _ = writeln!(json, "  \"runs_per_engine\": {runs},");
     let _ = writeln!(json, "  \"reps_per_engine\": {reps},");
     let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(json, "  \"seed\": 2016,");
+    let _ = writeln!(json, "  \"commit\": \"{commit}\",");
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
+    let _ = writeln!(json, "  \"normalizer\": \"reference_runs_per_s_geomean\",");
+    let _ = writeln!(json, "  \"reference_runs_per_s_geomean\": {normalizer:.2},");
     json.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -180,4 +212,5 @@ fn main() {
         );
     }
     println!("geomean speedup: {geomean:.2}x");
+    println!("normalizer: {normalizer:.2} reference runs/s (geomean), {nproc} cores, {commit}");
 }

@@ -320,10 +320,16 @@ impl JobSpec {
     }
 
     /// The campaign options this spec describes (journal attached by
-    /// the daemon per job id).
+    /// the daemon per job id). Adaptive campaigns draw every round from
+    /// static sites, and say so in their journal header exactly as the
+    /// in-process adaptive driver does.
     pub fn campaign_options(&self) -> CampaignOptions {
         CampaignOptions {
-            sampling: SamplingMode::default(),
+            sampling: if self.adaptive {
+                SamplingMode::StaticUniform
+            } else {
+                SamplingMode::default()
+            },
             retry: RetryPolicy::default(),
             journal: None,
             run_deadline: if self.deadline_ms == 0 {
@@ -446,9 +452,12 @@ mod tests {
         s.kind = JobKind::Campaign;
         let plain_id = s.job_id();
         let plain_line = s.encode("submit");
+        assert_eq!(s.campaign_options().sampling, SamplingMode::DynamicUniform);
         s.adaptive = true;
         assert!(s.validate().is_ok());
         assert_ne!(s.job_id(), plain_id, "adaptive work is different work");
+        // Every adaptive round draws static sites.
+        assert_eq!(s.campaign_options().sampling, SamplingMode::StaticUniform);
         let back = JobSpec::decode(&s.encode("submit"), "submit").unwrap();
         assert_eq!(back, s);
         // Lines minted before the flag existed decode as non-adaptive.

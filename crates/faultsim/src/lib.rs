@@ -74,13 +74,16 @@ pub mod sections;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use ipas_interp::{Machine, OutputStream, RtVal, RunConfig, RunError, RunOutput, RunStatus};
 use ipas_ir::{FuncId, InstId, Module};
 use rand::{Rng, SeedableRng};
 
-pub use ipas_interp::{CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, SiteClass};
+pub use ipas_interp::{
+    CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, Ladder, SiteClass,
+};
 pub use journal::{
     outcome_line_in_section, CampaignJournal, JournalError, JournalHeader, ResumeState,
 };
@@ -850,18 +853,22 @@ struct PlanExecutor<'w> {
 
 impl<'w> PlanExecutor<'w> {
     /// Builds an executor for one worker. Pass the campaign's shared
-    /// [`CompiledProgram`] lowering to run on the compiled engine, or
-    /// `None` for the reference tree-walker.
+    /// [`CompiledProgram`] lowering and golden-run ladder cell to run on
+    /// the compiled engine, or `None` for the reference tree-walker.
     fn new(
         workload: &'w Workload,
         seed: u64,
         options: &CampaignOptions,
-        compiled: Option<&'w CompiledProgram>,
+        compiled: Option<(&'w CompiledProgram, &'w OnceLock<Ladder>)>,
     ) -> Self {
         PlanExecutor {
             workload,
             runner: match compiled {
-                Some(program) => Runner::Compiled(CompiledMachine::new(program)),
+                Some((program, ladder)) => Runner::Compiled {
+                    machine: CompiledMachine::new(program),
+                    program,
+                    ladder,
+                },
                 None => Runner::Reference(&workload.module),
             },
             seed,
@@ -880,10 +887,11 @@ impl<'w> PlanExecutor<'w> {
         for attempt in 1..=max_attempts {
             // Every attempt starts from pristine machine state: the
             // reference machine is rebuilt (it is stateless) and the
-            // compiled machine resets itself on entry, so a panicking
-            // attempt cannot leak state into the retry. The verifier
-            // runs inside the same isolation boundary — a panic in user
-            // verification code is a harness failure, not an abort.
+            // compiled machine reloads its starting rung (or the entry
+            // state), so a panicking attempt cannot leak state into the
+            // retry. The verifier runs inside the same isolation
+            // boundary — a panic in user verification code is a harness
+            // failure, not an abort.
             let attempt_result = catch_unwind(AssertUnwindSafe(|| {
                 classify_plan(
                     self.workload,
@@ -916,22 +924,52 @@ impl<'w> PlanExecutor<'w> {
 /// One worker's execution engine. The compiled variant holds a
 /// resettable machine over the campaign's shared [`CompiledProgram`],
 /// so per-run allocations amortize across the worker's whole plan
-/// stream; the reference variant rebuilds its (stateless) machine per
-/// attempt.
+/// stream, and starts each run from the campaign's golden-run
+/// [`Ladder`]; the reference variant rebuilds its (stateless) machine
+/// per attempt and always runs from the entry.
 enum Runner<'w> {
     Reference(&'w Module),
-    Compiled(CompiledMachine<'w>),
+    Compiled {
+        machine: CompiledMachine<'w>,
+        program: &'w CompiledProgram,
+        ladder: &'w OnceLock<Ladder>,
+    },
 }
 
 impl Runner<'_> {
-    fn run(&mut self, config: &RunConfig) -> Result<RunOutput, RunError> {
+    fn run(&mut self, workload: &Workload, config: &RunConfig) -> Result<RunOutput, RunError> {
         match self {
             Runner::Reference(module) => Machine::new(module).run(config),
-            // `CompiledMachine::run` resets all machine state first, so
-            // a previous panicking attempt cannot contaminate this one.
-            Runner::Compiled(machine) => machine.run(config),
+            // `run_from` loads all machine state first, so a previous
+            // panicking attempt cannot contaminate this one. Only plans
+            // that may start past the entry need the ladder; the first
+            // of them captures it for the whole campaign.
+            Runner::Compiled {
+                machine,
+                program,
+                ladder,
+            } => {
+                let dynamic = config.injection.is_some_and(|plan| plan.site.is_none());
+                let ladder =
+                    dynamic.then(|| ladder.get_or_init(|| golden_ladder(program, workload)));
+                machine.run_from(config, ladder)
+            }
         }
     }
+}
+
+/// Captures `workload`'s golden-run ladder: [`Ladder::RUNGS`] rungs over
+/// its fault-free run. A golden run the interpreter rejects leaves the
+/// ladder empty, so every plan runs from the entry and reports the
+/// error itself.
+fn golden_ladder(program: &CompiledProgram, workload: &Workload) -> Ladder {
+    let config = RunConfig {
+        entry: workload.entry.clone(),
+        args: workload.args.clone(),
+        ..RunConfig::default()
+    };
+    let spacing = Ladder::spacing_for(workload.nominal_insts);
+    Ladder::capture(program, &config, spacing).map_or_else(|_| Ladder::default(), |(l, _)| l)
 }
 
 /// Runs a campaign under the full resilient runtime (see the crate docs'
@@ -976,15 +1014,18 @@ fn classify_plan(
     attempt: u32,
 ) -> Result<InjectionRecord, String> {
     let out = runner
-        .run(&RunConfig {
-            entry: workload.entry.clone(),
-            args: workload.args.clone(),
-            max_insts: budget,
-            injection: Some(plan),
-            profile_sites: false,
-            trace_eligible: false,
-            wall_limit: run_deadline,
-        })
+        .run(
+            workload,
+            &RunConfig {
+                entry: workload.entry.clone(),
+                args: workload.args.clone(),
+                max_insts: budget,
+                injection: Some(plan),
+                profile_sites: false,
+                trace_eligible: false,
+                wall_limit: run_deadline,
+            },
+        )
         .map_err(|e| format!("interpreter rejected the run: {e}"))?;
     let site = out
         .injected_site

@@ -6,7 +6,8 @@
 //! 1. [`CampaignRun::open`] is the one place a campaign builds its
 //!    [`JournalHeader`], opens the journal and takes in its
 //!    [`ResumeState`](crate::ResumeState), and lowers the module for the
-//!    compiled engine;
+//!    compiled engine (whose golden-run [`Ladder`] the first compiled
+//!    run that needs it captures, once per campaign);
 //! 2. the caller draws plans ([`crate::draw_plans`],
 //!    [`crate::sections::assign_sections`], an adaptive round) and
 //!    groups them into [`Slice`]s — drawing is the only thing the
@@ -36,8 +37,8 @@ use std::sync::{Mutex, OnceLock};
 use crate::sections::splice_outcomes;
 use crate::{
     CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
-    CompiledProgram, Engine, Injection, JournalError, JournalHeader, PlanExecutor, PlanOutcome,
-    Workload,
+    CompiledProgram, Engine, Injection, JournalError, JournalHeader, Ladder, PlanExecutor,
+    PlanOutcome, Workload,
 };
 
 /// A set of plans committed to the journal together (see the module
@@ -65,6 +66,9 @@ pub struct CampaignRun<W: Borrow<Workload>> {
     threads: usize,
     options: CampaignOptions,
     compiled: Option<CompiledProgram>,
+    /// The golden-run checkpoints compiled workers start from, captured
+    /// by the first run that needs them.
+    ladder: OnceLock<Ladder>,
     journal: Option<CampaignJournal>,
     slots: Vec<OnceLock<PlanOutcome>>,
     resumed: usize,
@@ -132,6 +136,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRun<W> {
             threads,
             options: options.clone(),
             compiled,
+            ladder: OnceLock::new(),
             journal,
             slots,
             resumed,
@@ -208,7 +213,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRun<W> {
                 self.workload(),
                 self.seed,
                 &self.options,
-                self.compiled.as_ref(),
+                self.compiled.as_ref().map(|p| (p, &self.ladder)),
             );
             while !abort.load(Ordering::Relaxed) {
                 let Some(&(s, k)) = items.get(next.fetch_add(1, Ordering::Relaxed)) else {

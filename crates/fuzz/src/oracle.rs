@@ -12,8 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ipas_core::policy::ProtectionPolicy;
 use ipas_interp::{
-    CompiledMachine, CompiledProgram, FaultModel, Injection, Machine, RtVal, RunConfig, RunOutput,
-    RunStatus, SiteClass,
+    CompiledMachine, CompiledProgram, FaultModel, Injection, Ladder, Machine, RtVal, RunConfig,
+    RunOutput, RunStatus, SiteClass,
 };
 use ipas_ir::passmgr::{bisect_pipeline, PassManager, PipelineSpec};
 use ipas_ir::verify::verify_module;
@@ -95,6 +95,11 @@ impl Divergence {
     }
 }
 
+/// Rungs of the engine-diff oracle's golden-run ladder: twice a
+/// campaign's [`Ladder::RUNGS`], so even short generated programs get
+/// rungs inside their calls and loops.
+const FUZZ_LADDER_RUNGS: u64 = 2 * Ladder::RUNGS;
+
 /// Bounded config used for all oracle runs: generated programs retire
 /// well under this budget unless they genuinely hang.
 fn oracle_config() -> RunConfig {
@@ -173,7 +178,9 @@ pub fn check_engine_diff(module: &Module) -> Option<Divergence> {
 /// loads, stores, or branch decisions), and both engines must still
 /// agree bit-for-bit. Models whose site class the module never
 /// exercises fall back to single-bit value flips so every case still
-/// checks *something* under injection.
+/// checks *something* under injection. The compiled engine's injected
+/// runs resume from golden-run [`Ladder`] rungs, so the oracle checks
+/// checkpoint resume against the reference's run from the entry too.
 pub fn check_engine_diff_model(module: &Module, model: FaultModel) -> Option<Divergence> {
     let cfg = oracle_config();
     let reference = match Machine::new(module).run(&cfg) {
@@ -185,10 +192,14 @@ pub fn check_engine_diff_model(module: &Module, model: FaultModel) -> Option<Div
             ))
         }
     };
+    // The compiled clean run captures a golden-run ladder with a small
+    // spacing, so the injected runs below resume from rungs that land
+    // mid-call and mid-loop.
     let program = CompiledProgram::compile(module);
     let mut compiled = CompiledMachine::new(&program);
-    let fast = match compiled.run(&cfg) {
-        Ok(out) => out,
+    let spacing = (reference.dynamic_insts / FUZZ_LADDER_RUNGS).max(1);
+    let (ladder, fast) = match Ladder::capture(&program, &cfg, spacing) {
+        Ok(captured) => captured,
         Err(e) => {
             return Some(Divergence::new(
                 OracleKind::EngineDiff,
@@ -237,7 +248,7 @@ pub fn check_engine_diff_model(module: &Module, model: FaultModel) -> Option<Div
             ..RunConfig::default()
         };
         let r = Machine::new(module).run(&inj_cfg);
-        let f = compiled.run(&inj_cfg);
+        let f = compiled.run_from(&inj_cfg, Some(&ladder));
         match (r, f) {
             (Ok(r), Ok(f)) => {
                 let (fa, fb) = (fingerprint(&r), fingerprint(&f));

@@ -34,7 +34,10 @@
 //!
 //! [`CompiledMachine`] then executes the flat code with a resettable
 //! value stack, alloca list, and [`Memory`] that keep their allocations
-//! across runs.
+//! across runs. A [`Ladder`] of golden-run checkpoints lets an injection
+//! run start from a snapshot of the fault-free run taken shortly before
+//! its injection point instead of from the entry
+//! ([`CompiledMachine::run_from`]).
 //!
 //! # Lowering invariants
 //!
@@ -68,6 +71,7 @@
 //! programs.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ipas_ir::inst::Callee;
 use ipas_ir::passes::constfold::saturating_f64_to_i64;
@@ -78,8 +82,8 @@ use ipas_ir::{
 
 use crate::env::{Env, SerialEnv};
 use crate::machine::{
-    exec_intrinsic, is_fault_site, no_such_function, validate_entry, HotCounters, RunConfig,
-    RunError, RunOutput, RunState, Stop, MAX_CALL_DEPTH,
+    exec_intrinsic, is_fault_site, next_stop, no_such_function, validate_entry, HotCounters,
+    OutputStream, RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, MAX_CALL_DEPTH,
 };
 use crate::memory::{gep_addr, Memory, POISON_ADDR};
 use crate::rtval::RtVal;
@@ -441,19 +445,27 @@ pub struct CompiledProgram {
     funcs: Vec<CompiledFunction>,
     /// Entry lookup only (never iterated — determinism-safe).
     by_name: HashMap<String, FuncId>,
+    /// Unique per lowering: a [`Ladder`] only resumes machines of the
+    /// program it was captured on.
+    id: u64,
 }
 
 impl CompiledProgram {
     /// Lowers `module` (assumed verified, like [`crate::Machine::new`])
     /// into dense per-function instruction arrays.
     pub fn compile(module: &Module) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mut funcs = Vec::with_capacity(module.num_functions());
         let mut by_name = HashMap::with_capacity(module.num_functions());
         for (fid, func) in module.functions() {
             by_name.insert(func.name().to_string(), fid);
             funcs.push(compile_function(fid, func));
         }
-        CompiledProgram { funcs, by_name }
+        CompiledProgram {
+            funcs,
+            by_name,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Number of lowered functions.
@@ -913,6 +925,194 @@ fn compile_function(fid: FuncId, func: &Function) -> CompiledFunction {
 /// gather intrinsic arguments into a stack buffer instead of a `Vec`.
 const INTRINSIC_MAX_ARGS: usize = 4;
 
+/// One frame of the compiled engine's call chain, mirrored beside the
+/// Rust recursion of [`CompiledMachine::run_chain`] so that a
+/// [`Checkpoint`] can record — and a resume rebuild — the whole chain.
+#[derive(Copy, Clone, Debug)]
+struct Frame {
+    fid: FuncId,
+    /// First stack slot of the frame's window.
+    base: usize,
+    /// Where the frame continues: for a frame suspended in a call, the
+    /// index of that [`CInst::Call`] (its `dst`, `site` and `width`
+    /// finish the call when the callee returns); for the innermost frame
+    /// of a checkpoint, the block entry it was captured at.
+    pc: u32,
+    /// Length of the alloca list when the frame was entered; the frame
+    /// frees the suffix on exit.
+    alloca_mark: usize,
+}
+
+/// One rung of a [`Ladder`]: the complete resumable state of a
+/// fault-free run at a CFG edge — value stack, alloca list, frame chain,
+/// memory, output streams and every dynamic counter.
+#[derive(Clone, Debug)]
+pub struct Checkpoint {
+    stack: Vec<u64>,
+    allocas: Vec<u64>,
+    frames: Vec<Frame>,
+    memory: Memory,
+    outputs: OutputStream,
+    console: Vec<String>,
+    dynamic_insts: u64,
+    eligible_results: u64,
+    loads: u64,
+    stores: u64,
+    cond_branches: u64,
+}
+
+impl Checkpoint {
+    /// Dynamic instructions the run had executed at this rung.
+    pub fn dynamic_insts(&self) -> u64 {
+        self.dynamic_insts
+    }
+
+    /// Events of `class` the run had executed at this rung: a plan
+    /// targeting event `n` of that class may start here iff this is at
+    /// most `n`.
+    pub fn events(&self, class: SiteClass) -> u64 {
+        match class {
+            SiteClass::Value => self.eligible_results,
+            SiteClass::Load => self.loads,
+            SiteClass::Store => self.stores,
+            SiteClass::Branch => self.cond_branches,
+        }
+    }
+
+    /// Depth of the call chain at this rung (1 = in the entry function).
+    pub fn depth(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Approximate heap bytes the rung holds (what
+    /// [`Ladder::MAX_BYTES`] caps).
+    pub fn bytes(&self) -> usize {
+        (self.stack.len() + self.allocas.len()) * 8
+            + self.frames.len() * std::mem::size_of::<Frame>()
+            + self.memory.bytes()
+            + self.outputs.len() * 16
+            + self.console.iter().map(String::len).sum::<usize>()
+    }
+}
+
+/// Golden-run checkpoints: snapshots of one fault-free compiled run,
+/// taken at the first CFG edge past every multiple of a fixed spacing.
+///
+/// An injection run whose target lies after a rung executes exactly
+/// the golden run's instructions up to that rung, so
+/// [`CompiledMachine::run_from`] restores the rung and executes only the
+/// rest — with the same records, counters and outputs as a run from the
+/// entry. Campaigns capture one ladder per workload
+/// ([`Ladder::RUNGS`] rungs over the golden run, at most
+/// [`Ladder::MAX_BYTES`] in total) and share it across their workers.
+#[derive(Clone, Debug, Default)]
+pub struct Ladder {
+    /// [`CompiledProgram`] id the rungs belong to (`None` for an empty
+    /// ladder).
+    program: Option<u64>,
+    entry: String,
+    args: Vec<RtVal>,
+    rungs: Vec<Checkpoint>,
+}
+
+impl Ladder {
+    /// Rungs a campaign's ladder spreads over its golden run.
+    pub const RUNGS: u64 = 32;
+
+    /// Cap on the bytes a ladder holds. A capture that would exceed it
+    /// drops every second rung and doubles the spacing, so large-memory
+    /// programs get fewer, still evenly spaced rungs.
+    pub const MAX_BYTES: usize = 64 << 20;
+
+    /// The spacing that spreads [`Ladder::RUNGS`] rungs over a golden
+    /// run of `nominal_insts` dynamic instructions.
+    pub fn spacing_for(nominal_insts: u64) -> u64 {
+        (nominal_insts / Self::RUNGS).max(1)
+    }
+
+    /// Runs `config`'s entry fault-free on a fresh machine, capturing a
+    /// rung at the first CFG edge at or past every multiple of `spacing`
+    /// dynamic instructions. The injection, profiling, tracing and
+    /// watchdog fields of `config` are ignored. Returns the ladder and
+    /// the golden run's output.
+    ///
+    /// # Errors
+    ///
+    /// The same [`RunError`]s as [`CompiledMachine::run`].
+    pub fn capture(
+        program: &CompiledProgram,
+        config: &RunConfig,
+        spacing: u64,
+    ) -> Result<(Ladder, RunOutput), RunError> {
+        let golden = RunConfig {
+            entry: config.entry.clone(),
+            args: config.args.clone(),
+            max_insts: config.max_insts,
+            ..RunConfig::default()
+        };
+        let mut machine = CompiledMachine::new(program);
+        machine.capture = Some(Capture {
+            spacing: spacing.max(1),
+            rungs: Vec::new(),
+            bytes: 0,
+        });
+        machine.capture_at = spacing.max(1);
+        let output = machine.run(&golden)?;
+        let rungs = machine.capture.take().map_or_else(Vec::new, |c| c.rungs);
+        let ladder = Ladder {
+            program: Some(program.id),
+            entry: golden.entry,
+            args: golden.args,
+            rungs,
+        };
+        Ok((ladder, output))
+    }
+
+    /// The rungs, in execution order.
+    pub fn rungs(&self) -> &[Checkpoint] {
+        &self.rungs
+    }
+
+    /// The last rung a run of `config` may start from, or `None` when it
+    /// must start at the entry.
+    ///
+    /// A rung qualifies when the run is this ladder's fault-free run up
+    /// to it: same entry and arguments, the plan's target event of its
+    /// class not yet executed (class counter ≤ target), and the budget
+    /// not yet exceeded (dynamic count ≤ `max_insts`). Site-restricted
+    /// plans, site profiling and eligible tracing count per-site state a
+    /// rung does not hold, so they always start at the entry. So do runs
+    /// under a wall-clock watchdog: the fresh run polls its deadline
+    /// during the prefix too (an expired deadline stops it at the first
+    /// poll), and a resumed run would skip those polls.
+    pub fn rung_for(&self, config: &RunConfig) -> Option<&Checkpoint> {
+        let plan = config.injection?;
+        if plan.site.is_some()
+            || config.profile_sites
+            || config.trace_eligible
+            || config.wall_limit.is_some()
+            || config.entry != self.entry
+            || config.args != self.args
+        {
+            return None;
+        }
+        let class = plan.model.site_class();
+        // Every counter is non-decreasing along the ladder.
+        let n = self.rungs.partition_point(|r| {
+            r.events(class) <= plan.target && r.dynamic_insts <= config.max_insts
+        });
+        n.checked_sub(1).map(|k| &self.rungs[k])
+    }
+}
+
+/// A ladder under construction (see [`Ladder::capture`]).
+#[derive(Debug)]
+struct Capture {
+    spacing: u64,
+    rungs: Vec<Checkpoint>,
+    bytes: usize,
+}
+
 /// A resettable executor for one [`CompiledProgram`].
 ///
 /// The machine keeps its value stack, alloca list, phi scratch buffer,
@@ -929,10 +1129,16 @@ pub struct CompiledMachine<'p> {
     /// Alloca base addresses of all live frames; each frame records a
     /// watermark and frees its suffix on exit.
     allocas: Vec<u64>,
+    /// The live call chain, innermost last.
+    frames: Vec<Frame>,
     /// Parallel-copy staging for phi edges.
     scratch: Vec<u64>,
     /// Recycled across runs via [`Memory::reset`].
     memory: Memory,
+    /// Dynamic count at which the next CFG edge captures a rung
+    /// (`u64::MAX` unless [`Ladder::capture`] is running).
+    capture_at: u64,
+    capture: Option<Capture>,
 }
 
 impl<'p> CompiledMachine<'p> {
@@ -942,8 +1148,11 @@ impl<'p> CompiledMachine<'p> {
             prog: program,
             stack: Vec::new(),
             allocas: Vec::new(),
+            frames: Vec::new(),
             scratch: Vec::new(),
             memory: Memory::new(),
+            capture_at: u64::MAX,
+            capture: None,
         }
     }
 
@@ -957,11 +1166,29 @@ impl<'p> CompiledMachine<'p> {
     /// the argument count/types mismatch, with the same messages as the
     /// reference engine.
     pub fn run(&mut self, config: &RunConfig) -> Result<RunOutput, RunError> {
-        let mut env = SerialEnv;
-        self.run_with_env(config, &mut env)
+        self.run_from(config, None)
     }
 
-    /// Runs under a caller-provided environment.
+    /// Like [`CompiledMachine::run`], but starts from the last rung of
+    /// `ladder` the run may start from ([`Ladder::rung_for`]), or from
+    /// the entry when there is none or the ladder was captured on
+    /// another [`CompiledProgram`]. The output is identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledMachine::run`].
+    pub fn run_from(
+        &mut self,
+        config: &RunConfig,
+        ladder: Option<&Ladder>,
+    ) -> Result<RunOutput, RunError> {
+        let mut env = SerialEnv;
+        let ladder = ladder.filter(|l| l.program == Some(self.prog.id));
+        let rung = ladder.and_then(|l| l.rung_for(config));
+        self.execute(config, &mut env, rung)
+    }
+
+    /// Runs under a caller-provided environment, from the entry.
     ///
     /// # Errors
     ///
@@ -971,6 +1198,18 @@ impl<'p> CompiledMachine<'p> {
         config: &RunConfig,
         env: &mut dyn Env,
     ) -> Result<RunOutput, RunError> {
+        self.execute(config, env, None)
+    }
+
+    /// The one run path: load the starting state — `rung`, or the fresh
+    /// entry frame (rung 0) — into the machine and run the call chain to
+    /// completion.
+    fn execute(
+        &mut self,
+        config: &RunConfig,
+        env: &mut dyn Env,
+        rung: Option<&Checkpoint>,
+    ) -> Result<RunOutput, RunError> {
         let entry = *self
             .prog
             .by_name
@@ -978,24 +1217,50 @@ impl<'p> CompiledMachine<'p> {
             .ok_or_else(|| no_such_function(&config.entry))?;
         let f = &self.prog.funcs[entry.index()];
         validate_entry(&config.entry, &f.params, config)?;
-        let frame_slots = f.frame_slots as usize;
         let ret_ty = f.ret_ty;
 
         // Reset without releasing capacity.
-        self.stack.clear();
-        self.allocas.clear();
         self.scratch.clear();
         let mut memory = std::mem::take(&mut self.memory);
-        memory.reset();
-
-        let mut state = RunState::start(memory, config, env);
-        self.stack.resize(frame_slots, 0);
-        for (k, a) in config.args.iter().enumerate() {
-            self.stack[k] = a.bits();
-        }
-        self.stack[frame_slots - f.consts.len()..].copy_from_slice(&f.consts);
+        let mut state = match rung {
+            None => {
+                memory.reset();
+                self.stack.clear();
+                self.allocas.clear();
+                self.frames.clear();
+                let frame_slots = f.frame_slots as usize;
+                self.stack.resize(frame_slots, 0);
+                for (k, a) in config.args.iter().enumerate() {
+                    self.stack[k] = a.bits();
+                }
+                self.stack[frame_slots - f.consts.len()..].copy_from_slice(&f.consts);
+                self.frames.push(Frame {
+                    fid: entry,
+                    base: 0,
+                    pc: 0,
+                    alloca_mark: 0,
+                });
+                RunState::start(memory, config, env)
+            }
+            Some(rung) => {
+                memory.clone_from(&rung.memory);
+                self.stack.clone_from(&rung.stack);
+                self.allocas.clone_from(&rung.allocas);
+                self.frames.clone_from(&rung.frames);
+                let mut state = RunState::start(memory, config, env);
+                state.outputs.clone_from(&rung.outputs);
+                state.console.clone_from(&rung.console);
+                state.dynamic_insts = rung.dynamic_insts;
+                state.eligible_results = rung.eligible_results;
+                state.loads = rung.loads;
+                state.stores = rung.stores;
+                state.cond_branches = rung.cond_branches;
+                state.next_stop = next_stop(rung.dynamic_insts, config.max_insts);
+                state
+            }
+        };
         let result = self
-            .exec_func(&mut state, entry, 0, 0)
+            .run_chain(&mut state, 0)
             .map(|ret| ret.map(|bits| RtVal::from_bits(ret_ty, bits)));
         let status = state.finish(result);
         let (output, memory) = state.into_output(status);
@@ -1003,8 +1268,8 @@ impl<'p> CompiledMachine<'p> {
         Ok(output)
     }
 
-    /// Executes one frame (already pushed at `base`), freeing its
-    /// allocas on every exit path like the reference engine.
+    /// Executes a callee frame (already pushed on the value stack at
+    /// `base`) to completion.
     fn exec_func(
         &mut self,
         state: &mut RunState<'_>,
@@ -1015,14 +1280,47 @@ impl<'p> CompiledMachine<'p> {
         if depth >= MAX_CALL_DEPTH {
             return Err(Stop::Trap(Trap::StackOverflow));
         }
-        let alloca_mark = self.allocas.len();
-        let result = self.run_frame(state, fid, base, depth);
+        self.frames.push(Frame {
+            fid,
+            base,
+            pc: 0,
+            alloca_mark: self.allocas.len(),
+        });
+        self.run_chain(state, depth)
+    }
+
+    /// Runs frame `k` of the call chain, and every frame inside it, to
+    /// completion. A frame with a callee below it in the chain is
+    /// suspended in that call: the callee finishes first and the frame
+    /// resumes at the call with its return value. The innermost frame
+    /// runs from its `pc`. Frees the frame's allocas on every exit path
+    /// like the reference engine, and pops it from the chain.
+    fn run_chain(&mut self, state: &mut RunState<'_>, k: usize) -> Result<Option<u64>, Stop> {
+        let Frame {
+            fid,
+            base,
+            pc,
+            alloca_mark,
+        } = self.frames[k];
+        let result = match self.frames.get(k + 1) {
+            Some(callee) => {
+                let callee_base = callee.base;
+                let r = self.run_chain(state, k + 1);
+                self.stack.truncate(callee_base);
+                match r {
+                    Ok(ret) => self.run_frame(state, fid, base, k, pc, Some(ret.unwrap_or(0))),
+                    Err(stop) => Err(stop),
+                }
+            }
+            None => self.run_frame(state, fid, base, k, pc, None),
+        };
         for i in alloca_mark..self.allocas.len() {
             // Frame regions are always valid bases; ignore double-free
             // that can only arise from user `free` of an alloca pointer.
             let _ = state.memory.free(self.allocas[i]);
         }
         self.allocas.truncate(alloca_mark);
+        self.frames.truncate(k);
         result
     }
 
@@ -1038,10 +1336,13 @@ impl<'p> CompiledMachine<'p> {
 
     /// Takes a CFG edge: charges its phi moves against `dynamic_insts`
     /// (no budget/poll check — block-entry phi copies are exempt in the
-    /// reference too) and performs the parallel copy.
+    /// reference too) and performs the parallel copy. While a ladder is
+    /// being captured, an edge that reaches the next mark captures a
+    /// rung at the target block's entry.
     #[inline]
     fn take_edge(
         &mut self,
+        state: &mut RunState<'_>,
         hot: &mut HotCounters,
         edges: &[Edge],
         base: usize,
@@ -1072,24 +1373,99 @@ impl<'p> CompiledMachine<'p> {
                 self.scratch = scratch;
             }
         }
+        if hot.dynamic_insts >= self.capture_at {
+            self.capture_rung(state, hot, e.target);
+        }
         e.target as usize
     }
 
+    /// Snapshots the whole machine as a rung resuming the innermost
+    /// frame at `pc`, then advances [`CompiledMachine::capture_at`] to
+    /// the next multiple of the spacing, thinning the ladder when it
+    /// outgrows [`Ladder::MAX_BYTES`].
+    #[cold]
+    #[inline(never)]
+    fn capture_rung(&mut self, state: &mut RunState<'_>, hot: &HotCounters, pc: u32) {
+        hot.flush(state);
+        let mut capture = (self.capture.take()).expect("capture_at is only armed while capturing");
+        let mut frames = self.frames.clone();
+        frames.last_mut().expect("a frame is running").pc = pc;
+        let rung = Checkpoint {
+            stack: self.stack.clone(),
+            allocas: self.allocas.clone(),
+            frames,
+            memory: state.memory.clone(),
+            outputs: state.outputs.clone(),
+            console: state.console.clone(),
+            dynamic_insts: state.dynamic_insts,
+            eligible_results: state.eligible_results,
+            loads: state.loads,
+            stores: state.stores,
+            cond_branches: state.cond_branches,
+        };
+        let bytes = rung.bytes();
+        if bytes > Ladder::MAX_BYTES {
+            // Not even one rung fits: keep what there is and stop.
+            self.capture = Some(capture);
+            self.capture_at = u64::MAX;
+            return;
+        }
+        capture.bytes += bytes;
+        capture.rungs.push(rung);
+        while capture.bytes > Ladder::MAX_BYTES {
+            // Keep the rungs nearest the even multiples of the spacing.
+            let mut keep = false;
+            capture.rungs.retain(|_| {
+                keep = !keep;
+                !keep
+            });
+            capture.spacing = capture.spacing.saturating_mul(2);
+            capture.bytes = capture.rungs.iter().map(Checkpoint::bytes).sum();
+        }
+        self.capture_at = (state.dynamic_insts / capture.spacing)
+            .saturating_add(1)
+            .saturating_mul(capture.spacing);
+        self.capture = Some(capture);
+    }
+
+    /// Runs one frame from `pc`. With `ret` set, the frame is suspended
+    /// in the call at `pc`, and `ret` is its callee's return value.
     fn run_frame(
         &mut self,
         state: &mut RunState<'_>,
         fid: FuncId,
         base: usize,
         depth: usize,
+        pc: u32,
+        ret: Option<u64>,
     ) -> Result<Option<u64>, Stop> {
         // The counters live in registers for the duration of the frame;
         // every exit edge below flushes them back (idempotently).
         let mut hot = HotCounters::load(state);
-        let result = self.frame_loop(state, &mut hot, fid, base, depth);
+        let result = self.frame_loop(state, &mut hot, fid, base, depth, pc, ret);
         hot.flush(state);
         result
     }
 
+    /// Finishes a [`CInst::Call`] with its callee's return value `v`:
+    /// a non-void result is an eligible site and lands in `dst`.
+    #[inline]
+    fn call_result(
+        &mut self,
+        state: &mut RunState<'_>,
+        hot: &mut HotCounters,
+        fid: FuncId,
+        base: usize,
+        (dst, site, width): (u32, InstId, u32),
+        v: u64,
+    ) {
+        if dst != NO_SLOT {
+            let bits = hot.inject(state, fid, site, width, v);
+            self.write(base, dst, bits);
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn frame_loop(
         &mut self,
         state: &mut RunState<'_>,
@@ -1097,12 +1473,25 @@ impl<'p> CompiledMachine<'p> {
         fid: FuncId,
         base: usize,
         depth: usize,
+        pc: u32,
+        ret: Option<u64>,
     ) -> Result<Option<u64>, Stop> {
         // `prog` outlives `self`'s borrow, so the code array can be held
         // across stack mutations.
         let prog = self.prog;
         let f = &prog.funcs[fid.index()];
-        let mut pc = 0usize;
+        let mut pc = pc as usize;
+        if let Some(v) = ret {
+            // Resuming in a call whose callee has returned.
+            let CInst::Call {
+                dst, site, width, ..
+            } = &f.code[pc]
+            else {
+                unreachable!("a suspended frame waits in a call")
+            };
+            self.call_result(state, hot, f.fid, base, (*dst, *site, *width), v);
+            pc += 1;
+        }
         loop {
             let inst = &f.code[pc];
             pc += 1;
@@ -1160,7 +1549,7 @@ impl<'p> CompiledMachine<'p> {
                     self.write(base, *dst, bits);
                     // The folded br is still its own instruction.
                     hot.tick(state)?;
-                    pc = self.take_edge(hot, &f.edges, base, *edge);
+                    pc = self.take_edge(state, hot, &f.edges, base, *edge);
                 }
                 CInst::IDiv {
                     rem,
@@ -1294,7 +1683,7 @@ impl<'p> CompiledMachine<'p> {
                     hot.tick(state)?;
                     let taken = hot.branch_edge(state, f.fid, *br_site, bits != 0);
                     let edge = if taken { *then_edge } else { *else_edge };
-                    pc = self.take_edge(hot, &f.edges, base, edge);
+                    pc = self.take_edge(state, hot, &f.edges, base, edge);
                 }
                 CInst::FcmpBr {
                     pred,
@@ -1314,7 +1703,7 @@ impl<'p> CompiledMachine<'p> {
                     hot.tick(state)?;
                     let taken = hot.branch_edge(state, f.fid, *br_site, bits != 0);
                     let edge = if taken { *then_edge } else { *else_edge };
-                    pc = self.take_edge(hot, &f.edges, base, edge);
+                    pc = self.take_edge(state, hot, &f.edges, base, edge);
                 }
                 CInst::CastSitofp { arg, dst, site } => {
                     let v = ((self.read(base, *arg) as i64) as f64).to_bits();
@@ -1490,6 +1879,9 @@ impl<'p> CompiledMachine<'p> {
                                 .copy_from_slice(&callee_f.consts);
                             // The callee frame runs on its own counter
                             // image; hand ours over and take theirs back.
+                            // A rung captured inside the callee resumes
+                            // this frame at this call.
+                            self.frames[depth].pc = (pc - 1) as u32;
                             hot.flush(state);
                             let r = self.exec_func(state, *callee_fid, callee_base, depth + 1);
                             *hot = HotCounters::load(state);
@@ -1509,13 +1901,10 @@ impl<'p> CompiledMachine<'p> {
                             exec_intrinsic(state, *intr, &vals[..args.len()])?.bits()
                         }
                     };
-                    if *dst != NO_SLOT {
-                        let bits = hot.inject(state, f.fid, *site, *width, v);
-                        self.write(base, *dst, bits);
-                    }
+                    self.call_result(state, hot, f.fid, base, (*dst, *site, *width), v);
                 }
                 CInst::Br { edge } => {
-                    pc = self.take_edge(hot, &f.edges, base, *edge);
+                    pc = self.take_edge(state, hot, &f.edges, base, *edge);
                 }
                 CInst::CondBr {
                     cond,
@@ -1526,7 +1915,7 @@ impl<'p> CompiledMachine<'p> {
                     let c = self.read(base, *cond) != 0;
                     let c = hot.branch_edge(state, f.fid, *site, c);
                     let edge = if c { *then_edge } else { *else_edge };
-                    pc = self.take_edge(hot, &f.edges, base, edge);
+                    pc = self.take_edge(state, hot, &f.edges, base, edge);
                 }
                 CInst::Ret { value } => {
                     return Ok(value.map(|v| self.read(base, v)));

@@ -26,7 +26,9 @@
 //!   [`CompiledProgram`] lowering per module, then resettable machines
 //!   that reuse their allocations across runs. Bit-identical to the
 //!   reference (enforced by a differential oracle) and several times
-//!   faster, which makes it the [`Engine::default`].
+//!   faster, which makes it the [`Engine::default`]. Campaigns on it
+//!   start each injection run from a golden-run checkpoint
+//!   ([`Ladder`]) instead of re-executing the fault-free prefix.
 //!
 //! # Example
 //!
@@ -56,7 +58,7 @@ pub mod memory;
 pub mod rtval;
 pub mod trap;
 
-pub use compiled::{CompiledMachine, CompiledProgram, Engine};
+pub use compiled::{Checkpoint, CompiledMachine, CompiledProgram, Engine, Ladder};
 pub use env::{Env, SerialEnv};
 pub use machine::{
     is_fault_site, FaultModel, Injection, Machine, OutputStream, RunConfig, RunError, RunOutput,

@@ -969,9 +969,18 @@ fn tick_watermark(state: &mut RunState<'_>) -> Result<(), Stop> {
             }
         }
     }
-    let next_poll = (state.dynamic_insts / POISON_POLL_INTERVAL + 1) * POISON_POLL_INTERVAL;
-    state.next_stop = next_poll.min(state.max_insts.saturating_add(1));
+    state.next_stop = next_stop(state.dynamic_insts, state.max_insts);
     Ok(())
+}
+
+/// The [`RunState::next_stop`] watermark after a slow-path tick at
+/// `dynamic_insts`: the earlier of the next poll multiple and the first
+/// count past the budget. The compiled engine also recomputes it when it
+/// resumes from a checkpoint, which keeps the budget stop and the poll
+/// cadence of a resumed run exactly those of an uninterrupted one.
+pub(crate) fn next_stop(dynamic_insts: u64, max_insts: u64) -> u64 {
+    let next_poll = (dynamic_insts / POISON_POLL_INTERVAL + 1) * POISON_POLL_INTERVAL;
+    next_poll.min(max_insts.saturating_add(1))
 }
 
 /// Full injection bookkeeping (site profiling, site-restricted plans)

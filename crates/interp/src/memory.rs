@@ -48,6 +48,20 @@ pub struct Memory {
     regions: Vec<Option<Box<[u64]>>>,
 }
 
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            regions: self.regions.clone(),
+        }
+    }
+
+    /// Reuses this memory's region buffers where the shapes match, so
+    /// restoring a snapshot into a pooled memory mostly copies cells.
+    fn clone_from(&mut self, source: &Self) {
+        self.regions.clone_from(&source.regions);
+    }
+}
+
 impl Memory {
     /// Creates an empty memory.
     pub fn new() -> Self {
@@ -137,6 +151,11 @@ impl Memory {
     /// reproducible run to run.
     pub fn reset(&mut self) {
         self.regions.clear();
+    }
+
+    /// Bytes held by live regions.
+    pub fn bytes(&self) -> usize {
+        self.regions.iter().flatten().map(|r| r.len() * 8).sum()
     }
 
     /// Number of live regions (for leak assertions in tests).
